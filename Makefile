@@ -3,7 +3,8 @@
 all: build
 
 # Tier-1 gate: full build plus the complete test suite, then the fuzzer
-# smoke matrix and a quick states/sec trajectory point (BENCH_fuzz.json).
+# smoke matrix, a quick states/sec trajectory point (BENCH_fuzz.json),
+# and the two smoke targets that drive Crashcheck.Harness.
 check:
 	dune build && dune runtest
 	$(MAKE) fuzz-smoke
@@ -14,6 +15,8 @@ check:
 	$(MAKE) bench-json-quick
 	$(MAKE) snap-smoke
 	$(MAKE) serve-json-quick
+	$(MAKE) crashcheck
+	$(MAKE) faultcheck-smoke
 
 build:
 	dune build
@@ -100,14 +103,17 @@ snap-smoke: build
 faultcheck-smoke: build
 	dune exec bin/faultcheck.exe -- --smoke --flips 2 --torn 0.2
 
+# The reinjected mutants (every one must be caught, the snapshot mutant
+# at 64 images per fence), then the full 625-workload seq-2 sweep, which
+# must be clean. Exit 0 only if both legs pass.
 crashcheck: build
 	dune exec bin/crashcheck_cli.exe -- --systematic --buggy
 
 bench: build
 	dune exec bench/main.exe
 
-# States/sec perf trajectory, machine-readable: legacy-copy vs delta-view
-# engines plus the -j scaling section (work-stealing scheduler; iteration
+# States/sec perf trajectory, machine-readable: crash states explored on
+# a 32 MB volume plus the -j scaling section (work-stealing scheduler; iteration
 # count scales with the job count; reports speedup, parallel_efficiency =
 # speedup/jobs, host_cores, and per-shard iter/chunk/wall stats), written
 # to BENCH_fuzz.json. Both variants warn loudly when -j N is slower than

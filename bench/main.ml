@@ -831,12 +831,10 @@ let bechamel () =
 (* {1 Crash-state fuzzer throughput (the Chipmunk role, §5.7)}
 
    States/sec is the fuzzing north-star metric: how fast the differential
-   oracle explores recovered crash states. The section compares the two
-   exploration engines on the same seed matrix — [Copy], the legacy path
-   (materialize every crash image, remount via two more full-device
-   copies), against [Delta], the zero-copy path (views patched into one
-   scratch buffer, [of_view] mounts, memoized fsck verdicts) — on the
-   32 MB default volume, where the per-state memcpy tax is largest. *)
+   oracle explores recovered crash states (views patched into one scratch
+   buffer, zero-copy mounts, memoized fsck verdicts) — on the 32 MB
+   default volume, where the per-state cost of a full-device pass would
+   be largest. *)
 
 type fuzz_measure = {
   fm_states : int;
@@ -847,7 +845,7 @@ type fuzz_measure = {
   fm_shards : Fuzzer.Parallel.shard_stat list;
 }
 
-let fuzz_cfg ?(seed = 7) ?(buggy_rate = 0.) ~engine ~mb ~iters ~op_budget () =
+let fuzz_cfg ?(seed = 7) ?(buggy_rate = 0.) ~mb ~iters ~op_budget () =
   {
     Fuzzer.default_cfg with
     seed;
@@ -857,7 +855,6 @@ let fuzz_cfg ?(seed = 7) ?(buggy_rate = 0.) ~engine ~mb ~iters ~op_budget () =
     device_size = mb * 1024 * 1024;
     latency = Some Pmem.Latency.optane;
     shrink = false;
-    engine;
   }
 
 let measure_fuzz ?(jobs = 1) cfg =
@@ -878,51 +875,18 @@ let measure_fuzz ?(jobs = 1) cfg =
 let states_per_wall m =
   if m.fm_wall > 0. then float_of_int m.fm_states /. m.fm_wall else 0.
 
-(* Same exploration modulo the work done per state? Counter-for-counter
-   and violation-for-violation (dedup count excluded by construction). *)
-let fuzz_reports_equivalent (a : Fuzzer.report) (b : Fuzzer.report) =
-  let key (r : Fuzzer.report) =
-    let h = r.Fuzzer.r_harness in
-    ( h.Crashcheck.Harness.crash_states,
-      h.Crashcheck.Harness.media_states,
-      h.Crashcheck.Harness.fences_probed,
-      h.Crashcheck.Harness.ops_run,
-      List.sort compare
-        (List.map
-           (fun (v : Crashcheck.Harness.violation) ->
-             (v.Crashcheck.Harness.v_op_index, v.Crashcheck.Harness.v_detail))
-           h.Crashcheck.Harness.violations),
-      r.Fuzzer.r_sim_ns,
-      List.map (fun (f : Fuzzer.found) -> (f.Fuzzer.fd_iter, f.Fuzzer.fd_min))
-        r.Fuzzer.r_found )
-  in
-  key a = key b
-
 let fuzz () =
-  section "Crash-state fuzzer: legacy-copy vs delta-view engines (32 MB volume)";
+  section "Crash-state fuzzer throughput (32 MB volume)";
   let mb = 32 and iters = 2 and op_budget = 5 in
-  let copy =
-    measure_fuzz (fuzz_cfg ~engine:Crashcheck.Harness.Copy ~mb ~iters ~op_budget ())
-  in
-  let delta =
-    measure_fuzz (fuzz_cfg ~engine:Crashcheck.Harness.Delta ~mb ~iters ~op_budget ())
-  in
-  Printf.printf "%-18s %12s %9s %9s %16s\n" "engine" "crash-states" "deduped"
-    "wall (s)" "states/wall-sec";
-  List.iter
-    (fun (name, m) ->
-      Printf.printf "%-18s %12d %9d %9.2f %16.0f\n" name m.fm_states
-        m.fm_deduped m.fm_wall (states_per_wall m))
-    [ ("copy (legacy)", copy); ("delta (zero-copy)", delta) ];
-  Printf.printf "speedup (delta/copy): %.2fx%s\n"
-    (states_per_wall delta /. states_per_wall copy)
-    (if fuzz_reports_equivalent copy.fm_report delta.fm_report then ""
-     else "  [ENGINE MISMATCH: reports differ]");
-  (* Default-volume throughput (delta engine), for continuity with the
-     numbers this section reported before the engine split. *)
+  let m = measure_fuzz (fuzz_cfg ~mb ~iters ~op_budget ()) in
+  Printf.printf "%12s %9s %9s %16s\n" "crash-states" "deduped" "wall (s)"
+    "states/wall-sec";
+  Printf.printf "%12d %9d %9.2f %16.0f\n" m.fm_states m.fm_deduped m.fm_wall
+    (states_per_wall m);
+  (* Default-volume throughput, for continuity with earlier numbers. *)
   let r =
     (measure_fuzz
-       { (fuzz_cfg ~engine:Crashcheck.Harness.Delta ~mb:0 ~iters:12 ~op_budget:6 ()) with
+       { (fuzz_cfg ~mb:0 ~iters:12 ~op_budget:6 ()) with
          Fuzzer.device_size = Fuzzer.default_cfg.Fuzzer.device_size;
          shrink = true;
        })
@@ -942,7 +906,7 @@ let fuzz () =
 
 (* {1 BENCH_fuzz.json: machine-readable perf trajectory}
 
-   [fuzz-json] (full: 32 MB engine comparison + -j sharding check) and
+   [fuzz-json] (full: 32 MB volume + -j sharding check) and
    [fuzz-json-quick] (small volume, wired into `make check`) write the
    same JSON shape so CI can track states/sec from PR to PR. *)
 
@@ -950,13 +914,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jobs ~jiters_per_job () =
   section
     (Printf.sprintf "BENCH_fuzz.json (%s: %d MB volume, %d iters, -j %d)" mode
        mb iters jobs);
-  let copy =
-    measure_fuzz (fuzz_cfg ~engine:Crashcheck.Harness.Copy ~mb ~iters ~op_budget ())
-  in
-  let delta =
-    measure_fuzz (fuzz_cfg ~engine:Crashcheck.Harness.Delta ~mb ~iters ~op_budget ())
-  in
-  let engines_equiv = fuzz_reports_equivalent copy.fm_report delta.fm_report in
+  let delta = measure_fuzz (fuzz_cfg ~mb ~iters ~op_budget ()) in
   (* Scaling check on the default volume with mutants on: -j N must
      reproduce the -j 1 report (both canonicalized by [run_stats])
      bit-for-bit, and its wall clock is compared against -j 1 over the
@@ -967,8 +925,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jobs ~jiters_per_job () =
   let jiters = jiters_per_job * jobs in
   let jcfg =
     {
-      (fuzz_cfg ~seed:1 ~buggy_rate:0.15 ~engine:Crashcheck.Harness.Delta ~mb:0
-         ~iters:jiters ~op_budget:6 ())
+      (fuzz_cfg ~seed:1 ~buggy_rate:0.15 ~mb:0 ~iters:jiters ~op_budget:6 ())
       with
       Fuzzer.device_size = Fuzzer.default_cfg.Fuzzer.device_size;
       shrink = true;
@@ -989,7 +946,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jobs ~jiters_per_job () =
     if m.fm_states > 0 then float_of_int m.fm_deduped /. float_of_int m.fm_states
     else 0.
   in
-  let engine_json m =
+  let states_json m =
     Printf.sprintf
       "{ \"crash_states\": %d, \"states_deduped\": %d, \"dedup_ratio\": %.4f, \
        \"wall_s\": %.4f, \"states_per_wall_s\": %.1f, \
@@ -1042,7 +999,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jobs ~jiters_per_job () =
     && er.Fuzzer.Enum.e_ssu_found = []
   in
   (* Split-data-path gauges: exact fence counts and handle-vs-path
-     throughput, gated below like the engine/enum invariants. *)
+     throughput, gated below like the sharding/enum invariants. *)
   let dp = measure_datapath () in
   (* Large-volume gauges: sparse backing + indexed allocator scaling
      (quick keeps the volume just above the sparse threshold so `make
@@ -1062,10 +1019,7 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jobs ~jiters_per_job () =
       \  \"volume_mb\": %d,\n\
       \  \"iters\": %d,\n\
       \  \"op_budget\": %d,\n\
-      \  \"copy\": %s,\n\
       \  \"delta\": %s,\n\
-      \  \"speedup_delta_over_copy\": %.2f,\n\
-      \  \"engines_equivalent\": %b,\n\
       \  \"enum\": %s,\n\
       \  \"datapath\": %s,\n\
       \  \"large_volume\": %s,\n\
@@ -1081,19 +1035,17 @@ let fuzz_json_common ~mode ~mb ~iters ~op_budget ~jobs ~jiters_per_job () =
       \    \"shards\": [\n%s\n    ]\n\
       \  }\n\
        }\n"
-      mode mb iters op_budget (engine_json copy) (engine_json delta)
-      (states_per_wall delta /. states_per_wall copy)
-      engines_equiv enum_json (datapath_json dp) (largevol_json lv) jobs
-      host_cores jiters j1.fm_wall jn.fm_wall speedup parallel_efficiency
-      jobs_equiv shards_json
+      mode mb iters op_budget (states_json delta) enum_json (datapath_json dp)
+      (largevol_json lv) jobs host_cores jiters j1.fm_wall jn.fm_wall speedup
+      parallel_efficiency jobs_equiv shards_json
   in
   let oc = open_out "BENCH_fuzz.json" in
   output_string oc json;
   close_out oc;
   print_string json;
   Printf.printf "wrote BENCH_fuzz.json\n";
-  if not (engines_equiv && jobs_equiv) then begin
-    Printf.printf "BENCH_fuzz: ENGINE OR SHARDING MISMATCH\n";
+  if not jobs_equiv then begin
+    Printf.printf "BENCH_fuzz: SHARDING MISMATCH\n";
     exit 2
   end;
   if not enum_ok then begin
@@ -1466,7 +1418,7 @@ let () =
     match parse_trace [] (Array.to_list Sys.argv) with
     | _ :: [] | [ _; "all" ] ->
         (* the fuzz-json* sections are CI artifacts (and fuzz-json repeats
-           the engine comparison fuzz already runs); trace writes a file:
+           the 32 MB measurement fuzz already runs); trace writes a file:
            all of them are explicit-only, keeping default output stable *)
         List.filter
           (fun n ->

@@ -1,75 +1,55 @@
 (* crashcheck: the Chipmunk-substitute crash-consistency tester.
 
      crashcheck --systematic            -- the full seq-2 matrix
-     crashcheck --fuzz 100 --seed 7     -- random workloads
      crashcheck --buggy                 -- reinjected bugs (must be caught)
-     crashcheck --minutes 5             -- fuzz for a time budget         *)
+
+   Both legs may be given together; every requested leg runs, and the
+   exit code is the combined verdict (0 = clean and every bug caught).
+   Random workloads are the job of fuzz.exe (seeds, -j, shrinking). *)
 
 open Cmdliner
+module W = Crashcheck.Workload
+module H = Crashcheck.Harness
 
-let run systematic fuzz seed ops images minutes buggy =
-  let report = ref Crashcheck.Harness.empty in
-  let add r = report := Crashcheck.Harness.merge !report r in
-  if buggy then begin
-    let cases =
-      [
-        ("buggy-create", Crashcheck.Workload.[ Mkdir "/d"; Buggy_create "/b" ]);
-        ( "buggy-unlink",
-          Crashcheck.Workload.[ Create "/a"; Write ("/a", 0, "xy"); Buggy_unlink "/a" ] );
-        ( "buggy-write",
-          Crashcheck.Workload.[ Create "/a"; Buggy_write ("/a", String.make 256 'z') ] );
-      ]
-    in
-    let all_caught = ref true in
+(* Each reinjected bug with its per-fence image budget. The snapshot
+   mutant's torn window is one specific line-prefix combination, so it
+   needs the exhaustive budget the fuzzer's snapshot leg uses. *)
+let buggy_cases images =
+  [
+    ("buggy-create", images, W.[ Mkdir "/d"; Buggy_create "/b" ]);
+    ("buggy-unlink", images, W.[ Create "/a"; Write ("/a", 0, "xy"); Buggy_unlink "/a" ]);
+    ("buggy-write", images, W.[ Create "/a"; Buggy_write ("/a", String.make 256 'z') ]);
+    ("buggy-snap", 64, W.[ Create "/a"; Buggy_snap "torn-snapshot-commit-ordering" ]);
+  ]
+
+let run systematic images buggy =
+  let ok = ref true in
+  if buggy then
     List.iter
-      (fun (name, w) ->
-        let r = Crashcheck.Harness.run_workload ~max_images_per_fence:images w in
-        let caught = r.Crashcheck.Harness.violations <> [] in
-        if not caught then all_caught := false;
-        Printf.printf "%-14s %4d crash states -> %s\n" name
-          r.Crashcheck.Harness.crash_states
+      (fun (name, max_images_per_fence, w) ->
+        let r = H.run_workload ~max_images_per_fence w in
+        let caught = r.H.violations <> [] in
+        if not caught then ok := false;
+        Printf.printf "%-14s %4d crash states -> %s\n%!" name r.H.crash_states
           (if caught then "caught" else "MISSED"))
-      cases;
-    exit (if !all_caught then 0 else 2)
-  end;
+      (buggy_cases images);
   if systematic then begin
-    let ws = Crashcheck.Workload.systematic_pairs () in
+    let ws = W.systematic_pairs () in
     Printf.printf "running %d systematic workloads...\n%!" (List.length ws);
-    add (Crashcheck.Harness.run_suite ~max_images_per_fence:images ws)
+    let r = H.run_suite ~max_images_per_fence:images ws in
+    Format.printf "%a@." H.pp_report r;
+    if r.H.violations <> [] then ok := false
   end;
-  if fuzz > 0 then begin
-    Printf.printf "running %d fuzz workloads (seed %d)...\n%!" fuzz seed;
-    add
-      (Crashcheck.Harness.run_suite ~max_images_per_fence:images
-         (Crashcheck.Workload.random ~seed ~ops_per_workload:ops ~count:fuzz))
-  end;
-  if minutes > 0 then begin
-    Printf.printf "fuzzing for %d minute(s)...\n%!" minutes;
-    let deadline = Unix.gettimeofday () +. (float_of_int minutes *. 60.) in
-    let round = ref 0 in
-    while Unix.gettimeofday () < deadline do
-      incr round;
-      add
-        (Crashcheck.Harness.run_suite ~max_images_per_fence:images
-           (Crashcheck.Workload.random ~seed:(seed + !round)
-              ~ops_per_workload:ops ~count:20))
-    done
-  end;
-  Format.printf "%a@." Crashcheck.Harness.pp_report !report;
-  exit (if (!report).Crashcheck.Harness.violations = [] then 0 else 2)
+  if not (systematic || buggy) then
+    prerr_endline "crashcheck: nothing to do (pass --systematic and/or --buggy)";
+  exit (if !ok then 0 else 2)
 
 let () =
   let systematic =
     Arg.(value & flag & info [ "systematic" ] ~doc:"Run the seq-2 matrix")
   in
-  let fuzz = Arg.(value & opt int 0 & info [ "fuzz" ] ~docv:"N" ~doc:"Random workloads") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ]) in
-  let ops = Arg.(value & opt int 8 & info [ "ops" ] ~doc:"Ops per fuzz workload") in
   let images =
     Arg.(value & opt int 12 & info [ "images" ] ~doc:"Max crash images per fence")
-  in
-  let minutes =
-    Arg.(value & opt int 0 & info [ "minutes" ] ~doc:"Fuzz for a time budget")
   in
   let buggy =
     Arg.(value & flag & info [ "buggy" ] ~doc:"Check the reinjected bugs")
@@ -78,6 +58,4 @@ let () =
     (Cmd.eval
        (Cmd.v
           (Cmd.info "crashcheck" ~doc:"Crash-consistency testing of SquirrelFS")
-          Term.(
-            const run $ systematic $ fuzz $ seed $ ops $ images $ minutes
-            $ buggy)))
+          Term.(const run $ systematic $ images $ buggy)))

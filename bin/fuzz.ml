@@ -11,24 +11,16 @@ open Cmdliner
 
 let latency_of optane = if optane then Some Pmem.Latency.optane else None
 
-let engine_of = function
-  | "copy" -> Crashcheck.Harness.Copy
-  | "delta" -> Crashcheck.Harness.Delta
-  | s ->
-      prerr_endline ("fuzz: unknown engine " ^ s ^ " (want copy|delta)");
-      exit 1
-
 (* Re-execute [ops] with a recorder attached and return the event list
    alongside the outcome. Used for --trace and the --expect-buggy
    trace-checker leg; tracing never perturbs the outcome, so the re-run
    reproduces exactly what the fuzzing run saw. *)
-let traced_run ?(faults = Faults.none) ?sparse ~device_kib ~images ~optane
-    ~engine ops =
+let traced_run ?(faults = Faults.none) ?sparse ~device_kib ~images ~optane ops =
   let r = Obs.Recorder.create () in
   let out =
     Fuzzer.Exec.run ~device_size:(device_kib * 1024) ?sparse
       ~max_images_per_fence:images
-      ~faults ?latency:(latency_of optane) ~engine ~trace:r ops
+      ~faults ?latency:(latency_of optane) ~trace:r ops
   in
   (out, Obs.Recorder.to_list r)
 
@@ -43,14 +35,14 @@ let dump_trace file events =
       | Some e -> Format.printf "  offending event: %a@." Obs.Event.pp e
       | None -> ())
 
-let replay_cmd line images device_kib sparse optane engine trace =
+let replay_cmd line images device_kib sparse optane trace =
   match Fuzzer.Repro.of_cli line with
   | Error msg ->
       prerr_endline ("replay: " ^ msg);
       exit 1
   | Ok ops -> (
       let res, events =
-        traced_run ?sparse ~device_kib ~images ~optane ~engine ops
+        traced_run ?sparse ~device_kib ~images ~optane ops
       in
       Format.printf "%a@." Crashcheck.Harness.pp_report res.Fuzzer.Exec.o_report;
       (match trace with Some file -> dump_trace file events | None -> ());
@@ -188,8 +180,7 @@ let snap_smoke_cmd () =
   let ok = ref true in
   let smoke name ops =
     let out, events =
-      traced_run ~device_kib:256 ~images:128 ~optane:false
-        ~engine:Crashcheck.Harness.Delta ops
+      traced_run ~device_kib:256 ~images:128 ~optane:false ops
     in
     let ssu = Obs.Ssu.check events in
     (match out.Fuzzer.Exec.o_fail with
@@ -228,8 +219,7 @@ let snap_smoke_cmd () =
       ]);
   let mutant = Fuzzer.Gen.setup @ [ W.Buggy_snap "torn-snapshot-commit-ordering" ] in
   let out, events =
-    traced_run ~device_kib:256 ~images:128 ~optane:false
-      ~engine:Crashcheck.Harness.Delta mutant
+    traced_run ~device_kib:256 ~images:128 ~optane:false mutant
   in
   let o = out.Fuzzer.Exec.o_fail <> None in
   let s = match Obs.Ssu.check events with Error _ -> true | Ok () -> false in
@@ -241,9 +231,8 @@ let snap_smoke_cmd () =
 
 let run seed iters op_budget images buggy_rate device_kib sparse_flag torn stuck
     optane no_shrink
-    jobs engine replay expect_buggy trace metrics interleaved pairs max_inter enum depth
+    jobs replay expect_buggy trace metrics interleaved pairs max_inter enum depth
     coverage_out snap_smoke =
-  let engine = engine_of engine in
   let sparse = if sparse_flag then Some true else None in
   if snap_smoke then snap_smoke_cmd ();
   if enum then
@@ -251,7 +240,7 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag torn stuck
       expect_buggy;
   if interleaved then interleaved_cmd seed pairs max_inter expect_buggy;
   match replay with
-  | Some line -> replay_cmd line images device_kib sparse optane engine trace
+  | Some line -> replay_cmd line images device_kib sparse optane trace
   | None ->
       let faults =
         if torn > 0. || stuck > 0. then
@@ -271,7 +260,6 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag torn stuck
           faults;
           latency = latency_of optane;
           shrink = not no_shrink;
-          engine;
           collect_metrics = metrics;
         }
       in
@@ -299,7 +287,7 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag torn stuck
                 Fuzzer.Gen.sequence rng { Fuzzer.Gen.op_budget; buggy_rate }
           in
           let _, events =
-            traced_run ~faults ?sparse ~device_kib ~images ~optane ~engine ops
+            traced_run ~faults ?sparse ~device_kib ~images ~optane ops
           in
           dump_trace file events);
       if expect_buggy then begin
@@ -333,8 +321,7 @@ let run seed iters op_budget images buggy_rate device_kib sparse_flag torn stuck
             let fresh = List.filter (fun k -> not (List.mem k !flagged)) kinds in
             if fresh <> [] then begin
               let _, events =
-                traced_run ?sparse ~device_kib ~images ~optane ~engine
-                  f.Fuzzer.fd_min
+                traced_run ?sparse ~device_kib ~images ~optane f.Fuzzer.fd_min
               in
               match Obs.Ssu.check events with
               | Error v ->
@@ -419,15 +406,6 @@ let () =
              scheduler (clamped to the iteration count); the merged report \
              is bit-identical to -j 1 after canonicalization, and per-shard \
              iteration/chunk/wall stats are printed")
-  in
-  let engine =
-    Arg.(
-      value
-      & opt string "delta"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Crash-state engine: delta (zero-copy views + memoized fsck, the \
-             default) or copy (legacy materialized images)")
   in
   let replay =
     Arg.(
@@ -527,6 +505,6 @@ let () =
           (Cmd.info "fuzz" ~doc:"Crash-state fuzzing of SquirrelFS with a differential oracle")
           Term.(
             const run $ seed $ iters $ op_budget $ images $ buggy_rate $ device_kib
-            $ sparse $ torn $ stuck $ optane $ no_shrink $ jobs $ engine $ replay $ expect_buggy
+            $ sparse $ torn $ stuck $ optane $ no_shrink $ jobs $ replay $ expect_buggy
             $ trace $ metrics $ interleaved $ pairs $ max_inter $ enum $ depth
             $ coverage_out $ snap_smoke)))

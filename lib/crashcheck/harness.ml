@@ -52,15 +52,6 @@ let merge a b =
     violations = a.violations @ b.violations;
   }
 
-(* Crash-state exploration engine. [Copy] is the legacy path: every view
-   is materialized into a fresh image and remounted through [of_image]
-   (two more copies), nothing memoized. [Delta] patches views into one
-   reusable scratch buffer, mounts it zero-copy through [of_view], and
-   memoizes the content-determined part of each state's verdict by
-   64-bit content hash. Both engines probe the identical view sets, so
-   they find the identical violations. *)
-type engine = Copy | Delta
-
 (* Real-run dispatch: buggy variants go through the raw mis-ordered
    implementations; everything else through the normal FS. *)
 let apply_real (ctx : Sq.Fsctx.t) (op : Workload.op) =
@@ -117,22 +108,6 @@ let live_objects fs =
   walk "/";
   List.rev !out
 
-(* Cross-workload verdict memos. The content-determined part of a crash
-   state's verdict depends only on the image bytes, and the full-content
-   view hash is canonical across devices of the same size — so carrying
-   the tables across the workloads of a suite (all run at one
-   [device_size]) is sound and skips re-checking states that recur from
-   workload to workload (empty-tree and single-file states recur
-   constantly). The [states_deduped] counter stays per-workload (see
-   [check_image]), so reports are independent of memo lifetime. *)
-type memo = {
-  m_states : (int64, string list * Logical.t option) Hashtbl.t;
-  m_media : (int64, string list) Hashtbl.t;
-}
-
-let memo_create () =
-  { m_states = Hashtbl.create 1024; m_media = Hashtbl.create 256 }
-
 (* Deterministically pick [k] distinct elements (partial Fisher-Yates). *)
 let pick_k rng k xs =
   let arr = Array.of_list xs in
@@ -148,16 +123,8 @@ let pick_k rng k xs =
 
 let run_workload ?(device_size = 512 * 1024) ?(max_images_per_fence = 12)
     ?(media_images_per_fence = 4) ?(compare_data = false)
-    ?(faults = Faults.none) ?(engine = Delta) ?memo ops =
+    ?(faults = Faults.none) ?memo ops =
   let faulty = not (Faults.is_none faults) in
-  (* Media faults only make sense on a volume that can detect them:
-     fault runs format with checksummed metadata records. *)
-  let csum = faulty in
-  let media =
-    faulty
-    && (faults.Faults.Plan.torn_line_rate > 0.
-       || faults.Faults.Plan.stuck_line_rate > 0.)
-  in
   let n = List.length ops in
   (* Oracle: logical state after each prefix of the workload. *)
   let odev = Device.create ~size:device_size () in
@@ -173,21 +140,23 @@ let run_workload ?(device_size = 512 * 1024) ?(max_images_per_fence = 12)
       Workload.apply (module Squirrelfs) ofs op;
       oracle.(i + 1) <- Logical.capture (module Squirrelfs) ofs)
     ops;
-  (* Real run with crash probing at every fence. *)
+  (* Real run with crash probing at every fence. Media faults only make
+     sense on a volume that can detect them: fault runs format with
+     checksummed metadata records. *)
   let dev = Device.create ~size:device_size () in
-  Sq.Mount.mkfs ~csum dev;
+  Sq.Mount.mkfs ~csum:faulty dev;
   let fs =
     match Sq.mount dev with
     | Ok fs -> fs
     | Error e -> failwith ("mount: " ^ Vfs.Errno.to_string e)
   in
   if faulty then Device.set_fault_plan dev faults;
+  let probe =
+    Probe.create ?memo ~faults ~compare_data
+      ~media_images:media_images_per_fence ~max_images:max_images_per_fence dev
+  in
   let cur_op = ref 0 in
   let cur_opv = ref None in
-  let fences = ref 0 in
-  let states = ref 0 in
-  let deduped = ref 0 in
-  let media_states = ref 0 in
   let detected = ref 0 in
   let quarantined = ref 0 in
   let eio_checks = ref 0 in
@@ -197,165 +166,23 @@ let run_workload ?(device_size = 512 * 1024) ?(max_images_per_fence = 12)
       { v_op_index = !cur_op; v_op = !cur_opv; v_detail = detail }
       :: !violations
   in
-  (* One scratch buffer per run (Delta engine): crash views are patched
-     into it in place and mounted zero-copy via [of_view]. *)
-  let scr = lazy (Device.scratch dev) in
-  let mount_view v =
-    match engine with
-    | Delta ->
-        let s = Lazy.force scr in
-        Device.apply_view s v;
-        Device.of_view s
-    | Copy -> Device.of_image (Device.materialize dev v)
-  in
-  (* Content-determined part of a crash state's verdict: every check that
-     depends only on the image bytes (superblock, raw invariants, mount,
-     degraded-on-pure-image, fsck, capture). The oracle comparison stays
-     outside — it depends on which ops bracketed the fence, not on the
-     image — so memoizing this pair by content hash is sound. *)
-  let check_state v : string list * Logical.t option =
-    let dbg m = if Sys.getenv_opt "CRASHCHECK_DEBUG" <> None then Printf.eprintf "    %s\n%!" m in
-    let bad = ref [] in
-    let push m = bad := m :: !bad in
-    let d2 = mount_view v in
-    dbg "raw fsck";
-    (match Layout.Records.Superblock.read d2 with
-    | Some sb ->
-        (match Sq.Fsck.check_raw d2 sb.Layout.Records.Superblock.geometry with
-        | [] -> ()
-        | errs -> push ("raw invariants: " ^ String.concat " | " errs))
-    | None -> push "crash image has no superblock");
-    dbg "mounting";
-    let cap =
-      match Sq.mount d2 with
-      | Error e ->
-          push ("crash image fails to mount: " ^ Vfs.Errno.to_string e);
-          None
-      | Ok fs2 -> (
-          (* On a csum volume, a pure crash image (no media faults were
-             injected into it) must never trip the media pre-pass: SSU
-             orders every seal before its record's commit, so quarantine
-             here means a code path published an unsealed record. This is
-             how the harness catches Buggy_* variants on csum volumes. *)
-          if csum && (Sq.Mount.last_stats ()).Sq.Mount.degraded then
-            push
-              "media quarantine on a pure crash image (committed record \
-               without a valid checksum)";
-          dbg "fsck";
-          (match Sq.Fsck.check fs2 with
-          | [] -> ()
-          | errs -> push ("fsck: " ^ String.concat " | " errs));
-          dbg "capture";
-          match Logical.capture (module Squirrelfs) fs2 with
-          | exception Failure msg ->
-              push ("capture: " ^ msg);
-              None
-          | got -> Some got)
-    in
-    (List.rev !bad, cap)
-  in
-  (* Verdict caches: caller-carried when a [?memo] is shared across
-     workloads, local otherwise. The [seen] tables are always local to
-     this workload — [states_deduped] counts duplicates within one
-     workload only, so the report does not depend on memo lifetime. *)
-  let memo, memo_media =
-    match memo with
-    | Some m -> (m.m_states, m.m_media)
-    | None -> (Hashtbl.create 512, Hashtbl.create 128)
-  in
-  let seen = Hashtbl.create 256 and seen_media = Hashtbl.create 64 in
-  let check_image v ~legal =
-    incr states;
-    if Sys.getenv_opt "CRASHCHECK_DEBUG" <> None then Printf.eprintf "  image %d (op %d)\n%!" !states !cur_op;
-    let bads, cap =
-      match engine with
-      | Copy -> check_state v
-      | Delta -> (
-          let h = Device.view_hash dev v in
-          if Hashtbl.mem seen h then incr deduped else Hashtbl.replace seen h ();
-          match Hashtbl.find_opt memo h with
-          | Some verdict -> verdict
-          | None ->
-              let verdict = check_state v in
-              Hashtbl.replace memo h verdict;
-              verdict)
-    in
-    List.iter violate bads;
-    match cap with
-    | None -> ()
-    | Some got ->
-        if
-          not
-            (List.exists (fun st -> Logical.equal ~compare_data got st) legal)
-        then
-          violate
-            (Format.asprintf
-               "recovered state matches neither pre- nor post-op state; \
-                got %a"
-               Logical.pp got)
-  in
-  (* A crash image with injected media damage (torn / stuck lines) is not
-     a legal SSU state, so no logical comparison applies; the contract is
-     graceful handling only: mount either succeeds (possibly degraded,
-     with the damage quarantined) or refuses with a clean error — it must
-     never raise, and neither must fsck on the mounted result. *)
-  let check_media_state v : string list =
-    let d2 = mount_view v in
-    match Sq.mount d2 with
-    | exception e ->
-        [ "media crash image: mount raised " ^ Printexc.to_string e ]
-    | Error _ -> []
-    | Ok fs2 -> (
-        match Sq.Fsck.check fs2 with
-        | _ -> []
-        | exception e ->
-            [ "media crash image: fsck raised " ^ Printexc.to_string e ])
-  in
-  let check_media_image v =
-    incr media_states;
-    let bads =
-      match engine with
-      | Copy -> check_media_state v
-      | Delta -> (
-          let h = Device.view_hash dev v in
-          if Hashtbl.mem seen_media h then incr deduped
-          else Hashtbl.replace seen_media h ();
-          match Hashtbl.find_opt memo_media h with
-          | Some verdict -> verdict
-          | None ->
-              let verdict = check_media_state v in
-              Hashtbl.replace memo_media h verdict;
-              verdict)
-    in
-    List.iter violate bads
-  in
-  let probe d ~legal =
-    incr fences;
-    List.iter (fun v -> check_image v ~legal)
-      (Device.crash_views ~max_images:max_images_per_fence d);
-    if media then
-      List.iter check_media_image
-        (Device.crash_views_faulty ~max_images:media_images_per_fence d)
-  in
+  let on_violation ~image:_ detail = violate detail in
   Device.set_fence_hook dev
     (Some
-       (fun d ->
-         let legal = [ oracle.(!cur_op); oracle.(min n (!cur_op + 1)) ] in
-         probe d ~legal));
+       (fun _ ->
+         Probe.fence probe ~on_violation
+           ~legal:[ oracle.(!cur_op); oracle.(min n (!cur_op + 1)) ]));
   List.iteri
     (fun i op ->
       cur_op := i;
       cur_opv := Some op;
-      if Sys.getenv_opt "CRASHCHECK_DEBUG" <> None then
-        Printf.eprintf "op %d: %s\n%!" i
-          (Format.asprintf "%a" Workload.pp_op op);
       apply_real fs op)
     ops;
   Device.set_fence_hook dev None;
   (* Final durable state must equal the oracle's final state exactly. *)
   cur_op := n;
   cur_opv := None;
-  probe dev ~legal:[ oracle.(n) ];
+  Probe.fence probe ~on_violation ~legal:[ oracle.(n) ];
   (* Phase B: permanent corruption. Flip one seeded bit in the sealed
      (checksummed) region of up to [bit_flips] committed inode records,
      then require the full detection pipeline: the scrubber flags every
@@ -445,10 +272,10 @@ let run_workload ?(device_size = 512 * 1024) ?(max_images_per_fence = 12)
   {
     workloads = 1;
     ops_run = n;
-    fences_probed = !fences;
-    crash_states = !states;
-    states_deduped = !deduped;
-    media_states = !media_states;
+    fences_probed = Probe.fences probe;
+    crash_states = Probe.states probe;
+    states_deduped = Probe.deduped probe;
+    media_states = Probe.media_states probe;
     faults_injected =
       dstats.Pmem.Stats.bitflips + dstats.Pmem.Stats.torn_lines
       + dstats.Pmem.Stats.stuck_lines + dstats.Pmem.Stats.read_faults;
@@ -459,18 +286,18 @@ let run_workload ?(device_size = 512 * 1024) ?(max_images_per_fence = 12)
   }
 
 let run_suite ?device_size ?max_images_per_fence ?media_images_per_fence
-    ?compare_data ?faults ?engine ?progress workloads =
+    ?compare_data ?faults ?progress workloads =
   let total = List.length workloads in
   (* One verdict memo for the whole suite: every workload runs at the
      same device size, so content-determined verdicts carry over. *)
-  let memo = memo_create () in
+  let memo = Probe.memo_create () in
   List.fold_left
     (fun (i, acc) w ->
       (match progress with Some f -> f i total | None -> ());
       ( i + 1,
         merge acc
           (run_workload ?device_size ?max_images_per_fence
-             ?media_images_per_fence ?compare_data ?faults ?engine ~memo w) ))
+             ?media_images_per_fence ?compare_data ?faults ~memo w) ))
     (0, empty) workloads
   |> snd
 

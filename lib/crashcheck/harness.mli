@@ -9,9 +9,8 @@
       after [k] operations;
     + replays the workload on a fresh volume with a fence hook installed:
       at every store fence it enumerates the legal crash images under the
-      x86 persistence model, remounts each image (running recovery),
-      checks it with the independent {!Squirrelfs.Fsck} checker, and
-      compares its logical state against the oracle pair;
+      x86 persistence model and checks each one with {!Probe} against
+      the oracle pair;
     + probes the final durable state the same way.
 
     Data contents are excluded from the comparison (data-plane writes are
@@ -50,9 +49,8 @@ type report = {
   fences_probed : int;
   crash_states : int;
   states_deduped : int;
-      (** crash/media states whose content-determined verdict (recovery +
-          fsck + capture) came from the memo instead of a remount; always
-          0 under the [Copy] engine. Deduped states still count in
+      (** crash/media states whose content this workload had already
+          probed (see {!Probe.deduped}). Deduped states still count in
           [crash_states]/[media_states] and still get the per-occurrence
           oracle comparison. *)
   media_states : int;  (** faulty (torn/stuck) crash images checked *)
@@ -63,43 +61,21 @@ type report = {
   violations : violation list;
 }
 
-type engine = Copy | Delta
-(** Crash-state exploration engine. [Copy] is the legacy path: each crash
-    state is materialized into a fresh byte image and remounted through
-    [Device.of_image] (three full-device copies per state), with no
-    memoization. [Delta] (the default) patches {!Pmem.Device.crash_views}
-    delta views into one reusable scratch buffer, mounts it zero-copy
-    through [Device.of_view], and memoizes the content-determined verdict
-    of each state by 64-bit content hash, so duplicate states across the
-    fence sequence are checked once. Both engines enumerate identical
-    state sets (same views, same RNG consumption) and report identical
-    violations; only the work done per state differs. *)
-
-type memo
-(** Cross-workload cache of content-determined crash-state verdicts,
-    keyed by full-content view hash ([Delta] engine only). Sound to
-    share across any runs that use the same [device_size] (the hash is
-    canonical across same-size devices); sharing never changes a report —
-    [states_deduped] stays per-workload — it only skips recomputation of
-    states that recur between workloads. Single-domain state: never
-    share a memo across domains. *)
-
-val memo_create : unit -> memo
-
 val run_workload :
   ?device_size:int ->
   ?max_images_per_fence:int ->
   ?media_images_per_fence:int ->
   ?compare_data:bool ->
   ?faults:Faults.Plan.t ->
-  ?engine:engine ->
-  ?memo:memo ->
+  ?memo:Probe.memo ->
   Workload.op list ->
   report
 (** Defaults: 512 KiB device, 12 images per fence, 4 media images per
     fence, [faults = Faults.none] (in which case the run is bit-identical
-    to the pre-fault-subsystem harness), [engine = Delta], no shared
-    [?memo] (verdicts cached within the workload only). [compare_data]
+    to the pre-fault-subsystem harness), no shared [?memo] (verdicts
+    cached within the workload only). Every fence is checked by one
+    {!Probe}; each bad crash state yields one violation naming its first
+    failing check. [compare_data]
     (default false) additionally compares file contents against the
     oracle — only meaningful for workloads whose data writes are all
     [Write_atomic], since regular data writes are not crash-atomic (in
@@ -111,12 +87,11 @@ val run_suite :
   ?media_images_per_fence:int ->
   ?compare_data:bool ->
   ?faults:Faults.Plan.t ->
-  ?engine:engine ->
   ?progress:(int -> int -> unit) ->
   Workload.op list list ->
   report
 (** Folds {!run_workload} over the suite with {!merge}, sharing one
-    {!memo} across all workloads (they run at one device size, so
+    {!Probe.memo} across all workloads (they run at one device size, so
     verdicts for recurring states carry over). *)
 
 val empty : report

@@ -21,7 +21,6 @@ type cfg = {
   faults : Faults.Plan.t;
   latency : Pmem.Latency.t option;
   shrink : bool;
-  engine : H.engine;  (** crash-state engine; [Delta] unless benchmarking *)
   collect_metrics : bool;
       (** collect an {!Obs.Metrics.t} registry (op latencies, device and
           token traffic) across the run; off by default — reports are
@@ -41,7 +40,6 @@ let default_cfg =
     faults = Faults.none;
     latency = None;
     shrink = true;
-    engine = H.Delta;
     collect_metrics = false;
   }
 
@@ -71,14 +69,14 @@ let exec ?pool ?metrics cfg ops =
   Exec.run ~device_size:cfg.device_size ?sparse:cfg.sparse
     ~max_images_per_fence:cfg.max_images
     ~media_images_per_fence:cfg.media_images ~faults:cfg.faults ?latency:cfg.latency
-    ~engine:cfg.engine ?pool ?metrics ops
+    ?pool ?metrics ops
 
 (* Scheduler-driven core: [next] hands out iteration indexes (a plain
    counter for the sequential [run] below, chunks claimed from a shared
    atomic cursor in [Parallel]); every iteration still reseeds from
    (0x5EED, seed, iter), so the set of indexes [next] yields — never who
    yields them or in what order — determines the report. Each call owns
-   one {!Exec.Pool}: the device, scratch engine and fsck-verdict memos
+   one {!Exec.Pool}: the device, scratch buffer and verdict memo
    are reused across every iteration (and shrinker re-execution) this
    call runs, which is what makes handing out small chunks cheap. *)
 let run_sched ?on_iter_start ?on_iter_done ~next cfg =

@@ -3,9 +3,9 @@
    One sequence, two file systems: SquirrelFS on a simulated PM device and
    the in-memory reference model, op by op. Before each op the pair of
    legal logical states is fixed (model before / model after); a fence
-   hook enumerates crash images at every persist point, remounts each one
-   (running recovery), re-checks it with [Fsck], and requires the
-   recovered tree to be one of the two — SquirrelFS metadata ops are
+   hook runs [Crashcheck.Probe] at every persist point, which remounts
+   each crash image (running recovery), re-checks it with [Fsck], and
+   requires the recovered tree to be one of the two — SquirrelFS metadata ops are
    synchronous and crash-atomic, so anything else is an SSU ordering bug.
    Op return values are compared too (same errno, same success), and the
    final durable state must equal the final model state exactly.
@@ -18,6 +18,7 @@ module Device = Pmem.Device
 module Sq = Squirrelfs
 module W = Crashcheck.Workload
 module H = Crashcheck.Harness
+module Probe = Crashcheck.Probe
 module Logical = Vfs.Logical
 module Errno = Vfs.Errno
 
@@ -30,14 +31,6 @@ type outcome = {
   o_sim_ns : int;
   o_state_sig : int64;
 }
-
-(* FNV-1a-style fold of the per-image content hashes, in probe order:
-   a deterministic fingerprint of the whole crash-state trace of one
-   sequence. Depends only on (ops, config) — never on pooling, memo
-   contents or domain placement — so the enumerator can count duplicate
-   sequences across shards order-independently. *)
-let sig_empty = 0xcbf29ce484222325L
-let sig_add acc h = Int64.mul (Int64.logxor acc h) 0x100000001b3L
 
 exception Abort
 
@@ -132,17 +125,17 @@ let apply_sq (ctx : Sq.Fsctx.t) (op : W.op) : (unit, Errno.t) result =
 (* {2 Per-domain resource pool}
 
    Fresh-device fuzzing pays a large constant per iteration: allocate two
-   device-sized buffers, simulate mkfs store by store, then (Delta
-   engine) copy the device again into a new scratch. A pool amortizes
-   all of it across the iterations of one driver/shard: the first
+   device-sized buffers, simulate mkfs store by store, then copy the
+   device again into a new scratch. A pool amortizes all of it across
+   the iterations of one fuzzing loop or shard: the first
    acquisition formats a device once and snapshots the post-mkfs durable
    image as a template; every later acquisition blits the template back
    over the same buffers ({!Device.reset}), reusing the attached scratch
-   too. The pool also carries the fsck-verdict memo tables across
+   too. The pool also carries the probe's verdict memo across
    iterations: verdicts are content-determined (keyed by full-content
    view hash), so a state revisited in a later iteration skips the
    remount + fsck entirely. The [states_deduped] counter stays run-local
-   (see [check_image]), so reports are independent of pooling.
+   (see {!Probe.deduped}), so reports are independent of pooling.
 
    A pool is single-domain state: share one per domain, never across. *)
 module Pool = struct
@@ -159,14 +152,9 @@ module Pool = struct
     k_sparse : bool option; (* None = Device.create's size-based default *)
   }
 
-  type t = {
-    mutable slot : (key * entry) option;
-    memo : (int64, (Logical.t, string) result) Hashtbl.t;
-    memo_media : (int64, string option) Hashtbl.t;
-  }
+  type t = { mutable slot : (key * entry) option; memo : Probe.memo }
 
-  let create () =
-    { slot = None; memo = Hashtbl.create 1024; memo_media = Hashtbl.create 256 }
+  let create () = { slot = None; memo = Probe.memo_create () }
 
   (* A ready-to-mount formatted device: template-blit on reuse, real mkfs
      only on first acquisition (or when the configuration changes, which
@@ -188,10 +176,7 @@ module Pool = struct
         Device.reset ~hash e.e_dev ~image:e.e_tmpl;
         e.e_dev
     | Some _ | None ->
-        if p.slot <> None then begin
-          Hashtbl.reset p.memo;
-          Hashtbl.reset p.memo_media
-        end;
+        if p.slot <> None then Probe.memo_clear p.memo;
         let dev = Device.create ?latency ?sparse ~size () in
         Sq.Mount.mkfs ~csum dev;
         p.slot <-
@@ -200,22 +185,17 @@ module Pool = struct
 end
 
 let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
-    ?(media_images_per_fence = 4) ?(faults = Faults.none) ?latency
-    ?(engine = H.Delta) ?pool ?trace ?metrics ops =
+    ?(media_images_per_fence = 4) ?(faults = Faults.none) ?latency ?pool ?trace
+    ?metrics ops =
   let faulty = not (Faults.is_none faults) in
-  let media =
-    faulty
-    && (faults.Faults.Plan.torn_line_rate > 0. || faults.Faults.Plan.stuck_line_rate > 0.)
-  in
-  let csum = faulty in
   let n = List.length ops in
   let opsa = Array.of_list ops in
   let dev =
     match pool with
-    | Some p -> Pool.acquire p ~size:device_size ~csum ~latency ~sparse
+    | Some p -> Pool.acquire p ~size:device_size ~csum:faulty ~latency ~sparse
     | None ->
         let dev = Device.create ?latency ?sparse ~size:device_size () in
-        Sq.Mount.mkfs ~csum dev;
+        Sq.Mount.mkfs ~csum:faulty dev;
         dev
   in
   (* Simulated time is charged from the post-mkfs baseline (0 on a pooled
@@ -239,15 +219,21 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
       Typestate.Token.set_metrics fs.Sq.Fsctx.reg (Some m)
   | None -> ());
   if faulty then Device.set_fault_plan dev faults;
-  let cur_op = ref 0 and cur_fence = ref 0 in
-  let fences = ref 0 and states = ref 0 and media_states = ref 0 in
-  let deduped = ref 0 in
+  (* The verdict memo is pool-carried when pooled (states revisited
+     across iterations skip the recheck), run-local otherwise. *)
+  let probe =
+    Probe.create
+      ?memo:(Option.map (fun p -> p.Pool.memo) pool)
+      ~faults ~media_images:media_images_per_fence
+      ~max_images:max_images_per_fence dev
+  in
+  let cur_op = ref 0 in
   let ops_run = ref 0 and divergences = ref 0 in
   let legal = ref [ Ref_fs.capture Ref_fs.empty ] in
   let fail = ref None in
   let violations = ref [] in
   let violate ~image detail =
-    let cp = { cp_op = !cur_op; cp_fence = !cur_fence; cp_image = image } in
+    let cp = { cp_op = !cur_op; cp_fence = Probe.fences probe; cp_image = image } in
     fail := Some (cp, detail);
     violations :=
       {
@@ -260,139 +246,9 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
        shrinker minimizes, so stop exploring this sequence *)
     raise Abort
   in
-  (* Delta engine: one scratch buffer for the whole run (reusing the
-     pooled device's attached scratch when there is one), views patched
-     in place and mounted zero-copy; Copy engine: legacy materialize +
-     of_image per state. *)
-  let scr =
-    lazy
-      (match Device.attached_scratch dev with
-      | Some s -> s
-      | None -> Device.scratch dev)
-  in
-  let mount_view v =
-    match engine with
-    | H.Delta ->
-        let s = Lazy.force scr in
-        Device.apply_view s v;
-        Device.of_view s
-    | H.Copy -> Device.of_image (Device.materialize dev v)
-  in
-  (* Content-determined verdict of a crash state: first failing check, or
-     the recovered capture. The prefix-consistency comparison against
-     [!legal] stays outside (it depends on the bracketing ops, not the
-     image), so this is sound to memoize by content hash. *)
-  let check_state v =
-    let d2 = mount_view v in
-    match Layout.Records.Superblock.read d2 with
-    | None -> Error "crash image has no superblock"
-    | Some sb -> (
-        match Sq.Fsck.check_raw d2 sb.Layout.Records.Superblock.geometry with
-        | _ :: _ as errs ->
-            Error ("raw invariants: " ^ String.concat " | " errs)
-        | [] -> (
-            match Sq.mount d2 with
-            | Error e ->
-                Error ("crash image fails to mount: " ^ Errno.to_string e)
-            | Ok fs2 ->
-                if csum && (Sq.Mount.last_stats ()).Sq.Mount.degraded then
-                  Error
-                    "media quarantine on a pure crash image (committed record \
-                     without a valid checksum)"
-                else (
-                  match Sq.Fsck.check fs2 with
-                  | _ :: _ as errs ->
-                      Error ("fsck: " ^ String.concat " | " errs)
-                  | [] -> (
-                      match Logical.capture (module Squirrelfs) fs2 with
-                      | exception Failure msg -> Error ("capture: " ^ msg)
-                      | got -> Ok got))))
-  in
-  (* Verdict caches: pool-carried when pooled (so states revisited across
-     iterations skip the recheck), run-local otherwise. The [seen] tables
-     are always run-local — [states_deduped] counts duplicates *within*
-     this run only, which keeps reports independent of pooling and of how
-     iterations are partitioned across domains. *)
-  let memo, memo_media =
-    match pool with
-    | Some p -> (p.Pool.memo, p.Pool.memo_media)
-    | None -> (Hashtbl.create 512, Hashtbl.create 128)
-  in
-  let seen = Hashtbl.create 256 and seen_media = Hashtbl.create 64 in
-  let state_sig = ref sig_empty in
-  let check_image ~image v =
-    incr states;
-    let verdict =
-      match engine with
-      | H.Copy -> check_state v
-      | H.Delta -> (
-          let h = Device.view_hash dev v in
-          state_sig := sig_add !state_sig h;
-          if Hashtbl.mem seen h then incr deduped else Hashtbl.replace seen h ();
-          match Hashtbl.find_opt memo h with
-          | Some verdict -> verdict
-          | None ->
-              let verdict = check_state v in
-              Hashtbl.replace memo h verdict;
-              verdict)
-    in
-    match verdict with
-    | Error detail -> violate ~image detail
-    | Ok got ->
-        if not (List.exists (fun st -> Logical.equal ~compare_data:false got st) !legal)
-        then
-          violate ~image
-            (Format.asprintf
-               "recovered state is not prefix-consistent with the \
-                reference model; got %a"
-               Logical.pp got)
-  in
-  (* Torn/stuck crash images are not legal SSU states; the contract is
-     graceful handling only (same as the crash harness). *)
-  let check_media_state v =
-    let d2 = mount_view v in
-    match Sq.mount d2 with
-    | exception e ->
-        Some ("media crash image: mount raised " ^ Printexc.to_string e)
-    | Error _ -> None
-    | Ok fs2 -> (
-        match Sq.Fsck.check fs2 with
-        | _ -> None
-        | exception e ->
-            Some ("media crash image: fsck raised " ^ Printexc.to_string e))
-  in
-  let check_media_image ~image v =
-    incr media_states;
-    let verdict =
-      match engine with
-      | H.Copy -> check_media_state v
-      | H.Delta -> (
-          let h = Device.view_hash dev v in
-          state_sig := sig_add !state_sig h;
-          if Hashtbl.mem seen_media h then incr deduped
-          else Hashtbl.replace seen_media h ();
-          match Hashtbl.find_opt memo_media h with
-          | Some verdict -> verdict
-          | None ->
-              let verdict = check_media_state v in
-              Hashtbl.replace memo_media h verdict;
-              verdict)
-    in
-    match verdict with
-    | Some detail -> violate ~image detail
-    | None -> ()
-  in
-  let probe d =
-    incr cur_fence;
-    incr fences;
-    List.iteri (fun i v -> check_image ~image:i v)
-      (Device.crash_views ~max_images:max_images_per_fence d);
-    if media then
-      List.iteri (fun i v -> check_media_image ~image:i v)
-        (Device.crash_views_faulty ~max_images:media_images_per_fence d)
-  in
+  let fence () = Probe.fence probe ~legal:!legal ~on_violation:violate in
   (try
-     Device.set_fence_hook dev (Some probe);
+     Device.set_fence_hook dev (Some (fun _ -> fence ()));
      let model = ref Ref_fs.empty in
      let cap_prev = ref (Ref_fs.capture Ref_fs.empty) in
      for i = 0 to n - 1 do
@@ -427,7 +283,7 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
      cur_op := n;
      legal := [ !cap_prev ];
      (* final durable state must equal the final model state exactly *)
-     probe dev;
+     fence ();
      Device.set_fence_hook dev None;
      match Sq.Fsck.check fs with
      | [] -> ()
@@ -444,10 +300,10 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
       {
         H.workloads = 1;
         ops_run = !ops_run;
-        fences_probed = !fences;
-        crash_states = !states;
-        states_deduped = !deduped;
-        media_states = !media_states;
+        fences_probed = Probe.fences probe;
+        crash_states = Probe.states probe;
+        states_deduped = Probe.deduped probe;
+        media_states = Probe.media_states probe;
         faults_injected =
           dstats.Pmem.Stats.bitflips + dstats.Pmem.Stats.torn_lines
           + dstats.Pmem.Stats.stuck_lines + dstats.Pmem.Stats.read_faults;
@@ -459,5 +315,5 @@ let run ?(device_size = 256 * 1024) ?sparse ?(max_images_per_fence = 8)
     o_fail = !fail;
     o_divergences = !divergences;
     o_sim_ns = Device.now_ns dev - sim_base;
-    o_state_sig = !state_sig;
+    o_state_sig = Probe.state_sig probe;
   }

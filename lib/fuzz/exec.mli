@@ -29,12 +29,12 @@ type outcome = {
           content hash, in order. A function of (ops, config) only —
           independent of pooling, memo state and domain placement — so
           {!Enum} counts duplicate sequences with it order-independently
-          across [-j] shards. [Delta] engine only; 0-fold under [Copy]. *)
+          across [-j] shards (see {!Crashcheck.Probe.state_sig}). *)
 }
 
 (** Per-domain resource pool: one formatted device (template-blit reset
-    between runs instead of allocate + mkfs), its scratch engine, and the
-    content-hash-keyed fsck-verdict memo tables, all carried across the
+    between runs instead of allocate + mkfs), its scratch buffer, and the
+    content-hash-keyed {!Crashcheck.Probe.memo}, all carried across the
     runs that share the pool. Pooling is invisible in outcomes: reports,
     [states_deduped] and [o_sim_ns] are bit-identical with and without a
     pool. A pool is single-domain state — share one per domain/shard,
@@ -58,14 +58,13 @@ val run :
   ?media_images_per_fence:int ->
   ?faults:Faults.Plan.t ->
   ?latency:Pmem.Latency.t ->
-  ?engine:Crashcheck.Harness.engine ->
   ?pool:Pool.t ->
   ?trace:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
   Crashcheck.Workload.op list ->
   outcome
 (** Defaults: 256 KiB device, 8 crash images per fence, 4 media images
-    per fence, [Faults.none], zero latency, [engine = Delta], no pool
+    per fence, [Faults.none], zero latency, no pool
     (fresh device + mkfs per call). [?sparse] forces the device's
     backing representation (default: {!Pmem.Device.create}'s size-based
     choice). A sparse run is coverage-equivalent to a dense one —
@@ -79,6 +78,5 @@ val run :
     non-trivial [?faults] plan the volume is formatted [~csum:true], the
     plan is installed, and torn/stuck media images (from
     [crash_views_faulty]) get the graceful-handling check on top of the
-    pure crash images. Fully deterministic for fixed arguments, and both
-    engines probe identical state sets and report identical outcomes
-    (the [Delta] engine additionally counts [states_deduped]). *)
+    pure crash images. Every fence is checked by one {!Crashcheck.Probe}.
+    Fully deterministic for fixed arguments. *)

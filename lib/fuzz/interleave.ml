@@ -14,8 +14,8 @@
      [Fsctx.fence], and a DFS over the choice points deterministically
      enumerates every fence-granularity interleaving.
 
-   Under every enumerated schedule, the device fence hook probes crash
-   images exactly as [Exec] does: each recovered state must be one of
+   Under every enumerated schedule, the device fence hook runs the same
+   [Crashcheck.Probe] as [Exec]: each recovered state must be one of
    the four legal logical states {setup, A-only, B-only, A∧B} (both ops
    are crash-atomic, so a crash image may durably contain any subset of
    the two — but never half of one), and the final durable state must
@@ -36,6 +36,7 @@
 module Device = Pmem.Device
 module Sq = Squirrelfs
 module W = Crashcheck.Workload
+module Probe = Crashcheck.Probe
 module Logical = Vfs.Logical
 module Errno = Vfs.Errno
 
@@ -105,15 +106,15 @@ let overlap a b =
 
    Same template-blit idea as [Exec.Pool], but the template is the
    durable image {e after} the setup prefix and a clean unmount, so each
-   enumerated schedule replays only the two ops. Verdict memo tables are
-   carried across schedules and pairs (verdicts are content-determined,
+   enumerated schedule replays only the two ops. The probe's verdict memo
+   is carried across schedules and pairs (verdicts are content-determined,
    keyed by full-content view hash). *)
 
 type pool = {
   p_dev : Device.t;
   p_tmpl : Bytes.t;
   p_hash : int64 array * int64;
-  p_memo : (int64, (Logical.t, string) result) Hashtbl.t;
+  p_memo : Probe.memo;
 }
 
 let device_size = 256 * 1024
@@ -139,7 +140,7 @@ let make_pool () =
     p_dev = dev;
     p_tmpl = tmpl;
     p_hash = Device.image_hash_state tmpl;
-    p_memo = Hashtbl.create 512;
+    p_memo = Probe.memo_create ();
   }
 
 (* {2 The coroutine scheduler} *)
@@ -179,67 +180,11 @@ let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
   in
   let recorder = Obs.Recorder.create () in
   Sq.Tracing.attach ctx recorder;
-  let states = ref 0 and deduped = ref 0 in
   let fail = ref None in
-  let scr =
-    match Device.attached_scratch dev with
-    | Some s -> s
-    | None -> Device.scratch dev
-  in
-  (* Content-determined verdict of one crash image (memoized); the
-     legal-set comparison stays outside the memo, as in [Exec]. *)
-  let check_state v =
-    let d2 =
-      Device.apply_view scr v;
-      Device.of_view scr
-    in
-    match Layout.Records.Superblock.read d2 with
-    | None -> Error "crash image has no superblock"
-    | Some sb -> (
-        match Sq.Fsck.check_raw d2 sb.Layout.Records.Superblock.geometry with
-        | _ :: _ as errs -> Error ("raw invariants: " ^ String.concat " | " errs)
-        | [] -> (
-            match Sq.mount d2 with
-            | Error e -> Error ("crash image fails to mount: " ^ Errno.to_string e)
-            | Ok fs2 -> (
-                match Sq.Fsck.check fs2 with
-                | _ :: _ as errs -> Error ("fsck: " ^ String.concat " | " errs)
-                | [] -> (
-                    match Logical.capture (module Squirrelfs) fs2 with
-                    | exception Failure msg -> Error ("capture: " ^ msg)
-                    | got -> Ok got))))
-  in
-  let seen = Hashtbl.create 64 in
-  let probe d =
-    List.iter
-      (fun v ->
-        incr states;
-        let h = Device.view_hash dev v in
-        if Hashtbl.mem seen h then incr deduped else Hashtbl.replace seen h ();
-        let verdict =
-          match Hashtbl.find_opt pool.p_memo h with
-          | Some verdict -> verdict
-          | None ->
-              let verdict = check_state v in
-              Hashtbl.replace pool.p_memo h verdict;
-              verdict
-        in
-        match verdict with
-        | Error detail -> raise (Stop detail)
-        | Ok got ->
-            if
-              not
-                (List.exists
-                   (fun st -> Logical.equal ~compare_data:false got st)
-                   !legal)
-            then
-              raise
-                (Stop
-                   (Format.asprintf
-                      "recovered crash state matches no legal interleaving \
-                       state; got %a"
-                      Logical.pp got)))
-      (Device.crash_views ~max_images:8 d)
+  let probe = Probe.create ~memo:pool.p_memo ~max_images:8 dev in
+  let fence () =
+    Probe.fence probe ~legal:!legal ~on_violation:(fun ~image:_ detail ->
+        raise (Stop detail))
   in
   let nf = Array.length ops in
   let fibers =
@@ -299,7 +244,7 @@ let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
   let running = ref true in
   ctx.Sq.Fsctx.on_fence <-
     Some (fun () -> if !running then Effect.perform Yield);
-  Device.set_fence_hook dev (Some probe);
+  Device.set_fence_hook dev (Some (fun _ -> fence ()));
   (try drive prefix with
   | Stop detail ->
       fail := Some detail;
@@ -325,7 +270,7 @@ let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
   (if !fail = None then
      try
        legal := [ final ];
-       probe dev;
+       fence ();
        match Sq.Fsck.check ctx with
        | [] -> ()
        | errs ->
@@ -342,8 +287,8 @@ let run_schedule pool ~legal ~final ~(ops : W.op array) ~prefix =
     so_schedule = List.rev !schedule;
     so_branches = !branches;
     so_fail = !fail;
-    so_states = !states;
-    so_deduped = !deduped;
+    so_states = Probe.states probe;
+    so_deduped = Probe.deduped probe;
     so_ssu = ssu;
     so_results = Array.map (function Done r -> r | _ -> Error Errno.EIO) fibers;
   }

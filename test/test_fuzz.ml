@@ -320,31 +320,49 @@ let test_fuzzer_with_media_faults () =
        r1.F.r_harness.Crashcheck.Harness.violations);
   Alcotest.(check bool) "deterministic" true (r1 = r2)
 
-(* {1 Engine equivalence and parallel sharding} *)
+(* {1 One probe, two callers; parallel sharding} *)
 
-(* The Copy and Delta engines probe the same crash-state sets in the
-   same order; only the work done per state differs. Reports must agree
-   on everything except the dedup counter (Copy never memoizes). *)
-let test_engines_equivalent () =
-  let cfg k =
-    { F.default_cfg with seed = 5; iters = 10; op_budget = 6;
-      buggy_rate = 0.25; engine = k }
+(* Harness (oracle-volume replay) and Exec (Ref_fs differential) drive
+   the same Crashcheck.Probe. At one device size and image budget they
+   must probe identical crash-state sets on clean sequences, and both
+   must flag every reinjected mutant. *)
+let test_harness_exec_agree () =
+  let module H = Crashcheck.Harness in
+  let device_size = 256 * 1024 and max_images_per_fence = 8 in
+  let pool = F.Exec.Pool.create () in
+  let counts (r : H.report) =
+    (r.H.fences_probed, r.H.crash_states, r.H.states_deduped, List.length r.H.violations)
   in
-  let rc = F.run (cfg Crashcheck.Harness.Copy)
-  and rd = F.run (cfg Crashcheck.Harness.Delta) in
-  let strip r =
-    { r with
-      F.r_harness =
-        { r.F.r_harness with Crashcheck.Harness.states_deduped = 0 } }
-  in
-  Alcotest.(check bool) "identical modulo dedup counter" true
-    (strip rc = strip rd);
-  Alcotest.(check int) "Copy engine never dedups" 0
-    rc.F.r_harness.Crashcheck.Harness.states_deduped;
-  (* A 10-iteration run revisits plenty of recovered states: the Delta
-     engine's memo table must actually fire. *)
-  Alcotest.(check bool) "Delta engine dedups" true
-    (rd.F.r_harness.Crashcheck.Harness.states_deduped > 0)
+  let deduped = ref 0 in
+  for i = 0 to 29 do
+    let ops =
+      F.Gen.sequence (Random.State.make [| 0xA6EE; i |]) { F.Gen.op_budget = 8; buggy_rate = 0. }
+    in
+    let h = H.run_workload ~device_size ~max_images_per_fence ops in
+    let e = (F.Exec.run ~pool ~device_size ~max_images_per_fence ops).F.Exec.o_report in
+    let fences, states, dd, violations = counts h in
+    if counts e <> counts h || violations <> 0 then
+      Alcotest.failf "sequence %d: harness fences=%d states=%d deduped=%d violations=%d, \
+                      exec %d/%d/%d/%d"
+        i fences states dd violations e.H.fences_probed e.H.crash_states
+        e.H.states_deduped (List.length e.H.violations);
+    deduped := !deduped + dd
+  done;
+  (* 30 sequences revisit plenty of recovered states: the per-run dedup
+     must actually fire. *)
+  Alcotest.(check bool) "Probe dedups" true (!deduped > 0);
+  List.iter
+    (fun (name, ops) ->
+      let h = H.run_workload ~device_size ~max_images_per_fence ops in
+      let e = F.Exec.run ~pool ~device_size ~max_images_per_fence ops in
+      Alcotest.(check bool) (name ^ ": harness flags it") true (h.H.violations <> []);
+      Alcotest.(check bool) (name ^ ": exec flags it") true (e.F.Exec.o_fail <> None))
+    W.
+      [
+        ("buggy create", [ Mkdir "/d"; Buggy_create "/b" ]);
+        ("buggy unlink", [ Create "/a"; Write ("/a", 0, "xy"); Buggy_unlink "/a" ]);
+        ("buggy write", [ Create "/a"; Buggy_write ("/a", String.make 256 'z') ]);
+      ]
 
 (* Sharding the seed space across domains is invisible in the merged,
    canonicalized report: -j 3 == -j 1, bit for bit. *)
@@ -388,21 +406,20 @@ let test_jobs_clamped_to_work () =
   Alcotest.(check int) "-j 1 is one shard" 1 (List.length stats1);
   Alcotest.(check bool) "report == -j 1" true (r8 = r1)
 
-(* -j N == -j 1 (both post-canonicalize) across seeds, engines and a
-   media-fault plan: the work-stealing partition, the per-shard device
-   pools and the carried memo tables are all invisible in the report. *)
+(* -j N == -j 1 (both post-canonicalize) across seeds and a media-fault
+   plan: the work-stealing partition, the per-shard device pools and the
+   carried memo tables are all invisible in the report. *)
 let test_parallel_determinism_matrix () =
-  let base seed engine =
-    { F.default_cfg with seed; iters = 6; op_budget = 5; buggy_rate = 0.25; engine }
+  let base seed =
+    { F.default_cfg with seed; iters = 6; op_budget = 5; buggy_rate = 0.25 }
   in
   let cfgs =
     [
-      ("delta seed 2", base 2 Crashcheck.Harness.Delta);
-      ("delta seed 11", base 11 Crashcheck.Harness.Delta);
-      ("copy seed 2", base 2 Crashcheck.Harness.Copy);
-      ( "delta media faults",
+      ("seed 2", base 2);
+      ("seed 11", base 11);
+      ( "media faults",
         {
-          (base 7 Crashcheck.Harness.Delta) with
+          (base 7) with
           F.buggy_rate = 0.;
           faults =
             Faults.Plan.make ~seed:7 ~torn_line_rate:0.25 ~stuck_line_rate:0.1 ();
@@ -503,8 +520,8 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "Copy == Delta modulo dedup" `Slow
-            test_engines_equivalent;
+          Alcotest.test_case "Harness and Exec agree" `Slow
+            test_harness_exec_agree;
           Alcotest.test_case "-j 3 == -j 1 canonicalized" `Slow
             test_parallel_matches_sequential;
         ] );
