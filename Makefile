@@ -1,4 +1,4 @@
-.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke largevol-smoke snap-smoke crashcheck bench bench-json bench-json-quick serve-json serve-json-quick clean
+.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke largevol-smoke snap-smoke tab2-smoke crashcheck bench bench-json bench-json-quick serve-json serve-json-quick clean
 
 all: build
 
@@ -12,6 +12,7 @@ check:
 	$(MAKE) serve-smoke
 	$(MAKE) datapath-smoke
 	$(MAKE) largevol-smoke
+	$(MAKE) tab2-smoke
 	$(MAKE) bench-json-quick
 	$(MAKE) snap-smoke
 	$(MAKE) serve-json-quick
@@ -68,6 +69,14 @@ serve-smoke: build
 datapath-smoke: build
 	@echo "== bench datapath (fence schedule + handle throughput) =="
 	dune exec bench/main.exe -- datapath
+
+# Table 2 shape gate (about 1.3 s): the mount-time table on a 64 MiB
+# volume, exit 2 unless a full normal mount takes longer than an empty
+# one and recovery mount is at least as slow as normal mount at both
+# utilizations.
+tab2-smoke: build
+	@echo "== bench tab2 (mount-time shape) =="
+	dune exec bench/main.exe -- tab2
 
 # Large-sparse-volume smoke: mkfs + mount + a 100k-file create/stat
 # sweep on a 4 GiB lazily-backed volume, gated on near-constant mkfs

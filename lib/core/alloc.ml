@@ -1,38 +1,25 @@
-(* Volatile allocators (paper §3.4), in one of two representations.
+(* Volatile allocators (paper §3.4).
 
-   [Legacy] is the historical list-based allocator: an inode free list
-   plus per-CPU page free lists filled round-robin. Small (dense)
-   volumes stay on it so every allocation-order observable — and
-   therefore every on-PM placement, durable hash and golden trace — is
-   bit-identical to what it always was.
-
-   [Indexed] is the large-volume representation: free space is a map of
-   maximal runs (start -> len) with a by-length index, per-CPU LIFO
-   stacks for recently freed singles, and the same run structure for
-   inode numbers. Population is O(1) from geometry (one run covering
-   everything), single-page alloc and reservation are O(log runs), and
-   contiguous extents — optionally alignment-constrained, WineFS-style —
-   are carved straight from the run index. Mount rebuild on a sparse
-   device starts from the fully-free state and *reserves* the allocated
-   objects it discovers, so its allocator cost is proportional to live
-   data, never to volume size. *)
+   Free space is a map of maximal runs (start -> len) with a by-length
+   index, per-CPU LIFO stacks for recently freed singles, and the same
+   run structure for inode numbers. The fully-free state is O(1) from
+   geometry (one run covering everything), single-page alloc and
+   reservation are O(log runs), and contiguous extents — optionally
+   alignment-constrained, WineFS-style — are carved straight from the
+   run index. Mount rebuild starts from the fully-free state and
+   *reserves* the allocated objects it discovers, so its allocator cost
+   is proportional to live data, never to volume size. *)
 
 module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
 
 let floor_mod a b = ((a mod b) + b) mod b
 
-type legacy = {
-  mutable free_inodes : int list;
-  mutable l_free_inode_count : int;
-  page_pools : int list array; (* per-CPU free lists *)
-  pool_sizes : int array;
-  mutable next_cpu : int; (* round-robin for frees without a cpu hint *)
-}
-
-type indexed = {
+type t = {
+  cpus : int;
+  lock : Mutex.t;
   (* inode space: freed numbers reallocate LIFO, then the untouched
-     run-set ascending — the same policy order the legacy list yields *)
+     run-set ascending *)
   mutable ino_stack : int list;
   mutable ino_runs : int Imap.t; (* start -> len, never-reused inodes *)
   mutable ino_free : int; (* stack + runs *)
@@ -45,129 +32,76 @@ type indexed = {
   region : int; (* pages per CPU placement region *)
 }
 
-type state = Legacy of legacy | Indexed of indexed
-type t = { cpus : int; st : state; lock : Mutex.t }
-
-let create ~cpus (_g : Layout.Geometry.t) =
-  {
-    cpus;
-    st =
-      Legacy
-        {
-          free_inodes = [];
-          l_free_inode_count = 0;
-          page_pools = Array.make cpus [];
-          pool_sizes = Array.make cpus 0;
-          next_cpu = 0;
-        };
-    lock = Mutex.create ();
-  }
-
 let cpus t = t.cpus
-let is_indexed t = match t.st with Indexed _ -> true | Legacy _ -> false
 
-(* {1 Run-map primitives (indexed mode)} *)
+(* {1 Run-map primitives} *)
 
-let by_len_add ix ~start ~len =
-  ix.by_len <-
+let by_len_add t ~start ~len =
+  t.by_len <-
     Imap.update len
       (function
         | None -> Some (Iset.singleton start)
         | Some s -> Some (Iset.add start s))
-      ix.by_len
+      t.by_len
 
-let by_len_remove ix ~start ~len =
-  ix.by_len <-
+let by_len_remove t ~start ~len =
+  t.by_len <-
     Imap.update len
       (function
         | None -> None
         | Some s ->
             let s = Iset.remove start s in
             if Iset.is_empty s then None else Some s)
-      ix.by_len
+      t.by_len
 
-let run_insert_raw ix ~start ~len =
-  ix.runs <- Imap.add start len ix.runs;
-  by_len_add ix ~start ~len
+let run_insert_raw t ~start ~len =
+  t.runs <- Imap.add start len t.runs;
+  by_len_add t ~start ~len
 
-let run_remove_raw ix ~start ~len =
-  ix.runs <- Imap.remove start ix.runs;
-  by_len_remove ix ~start ~len
+let run_remove_raw t ~start ~len =
+  t.runs <- Imap.remove start t.runs;
+  by_len_remove t ~start ~len
 
 (* Insert a free run, coalescing with physical neighbours. Only the
    newly freed pages count toward [run_pages]; absorbed neighbours are
    already counted. *)
-let run_insert ix ~start ~len =
+let run_insert t ~start ~len =
   let freed = len in
   let start, len =
-    match Imap.find_last_opt (fun s -> s < start) ix.runs with
+    match Imap.find_last_opt (fun s -> s < start) t.runs with
     | Some (s, l) when s + l >= start ->
         if s + l > start then
           invalid_arg "Core.Alloc: double free (overlaps a free run)";
-        run_remove_raw ix ~start:s ~len:l;
+        run_remove_raw t ~start:s ~len:l;
         (s, l + len)
     | _ -> (start, len)
   in
   let len =
-    match Imap.find_opt (start + len) ix.runs with
+    match Imap.find_opt (start + len) t.runs with
     | Some l2 ->
-        run_remove_raw ix ~start:(start + len) ~len:l2;
+        run_remove_raw t ~start:(start + len) ~len:l2;
         len + l2
     | None -> len
   in
-  run_insert_raw ix ~start ~len;
-  ix.run_pages <- ix.run_pages + freed
+  run_insert_raw t ~start ~len;
+  t.run_pages <- t.run_pages + freed
 
 (* Carve [want, want+n) out of the run starting at [start]. *)
-let run_carve ix ~start ~len ~want ~n =
-  run_remove_raw ix ~start ~len;
-  if want > start then run_insert_raw ix ~start ~len:(want - start);
+let run_carve t ~start ~len ~want ~n =
+  run_remove_raw t ~start ~len;
+  if want > start then run_insert_raw t ~start ~len:(want - start);
   let tail = start + len - (want + n) in
-  if tail > 0 then run_insert_raw ix ~start:(want + n) ~len:tail;
-  ix.run_pages <- ix.run_pages - n
+  if tail > 0 then run_insert_raw t ~start:(want + n) ~len:tail;
+  t.run_pages <- t.run_pages - n
 
-(* Remove one specific page from whatever run contains it. *)
-let run_reserve_page ix page =
-  match Imap.find_last_opt (fun s -> s <= page) ix.runs with
-  | Some (s, l) when page < s + l -> run_carve ix ~start:s ~len:l ~want:page ~n:1
-  | _ -> invalid_arg "Core.Alloc.reserve_page: page is not free"
-
-(* {1 Population} *)
-
-let add_free_inode_aux t ino =
-  match t.st with
-  | Legacy g ->
-      g.free_inodes <- ino :: g.free_inodes;
-      g.l_free_inode_count <- g.l_free_inode_count + 1
-  | Indexed ix ->
-      ix.ino_stack <- ino :: ix.ino_stack;
-      ix.ino_free <- ix.ino_free + 1
-
-let add_free_page_aux t page =
-  match t.st with
-  | Legacy g ->
-      let cpu = g.next_cpu in
-      g.next_cpu <- (g.next_cpu + 1) mod t.cpus;
-      g.page_pools.(cpu) <- page :: g.page_pools.(cpu);
-      g.pool_sizes.(cpu) <- g.pool_sizes.(cpu) + 1
-  | Indexed ix -> run_insert ix ~start:page ~len:1
-
-let populated ~cpus (g : Layout.Geometry.t) =
-  let t = create ~cpus g in
-  for ino = g.inode_count downto 2 do
-    add_free_inode_aux t ino
-  done;
-  for page = g.page_count - 1 downto 0 do
-    add_free_page_aux t page
-  done;
-  t
-
-(* Fully-free indexed allocator in O(1): one inode run [2, inode_count],
-   one page run [0, page_count). The sparse-mount rebuild starts here
-   and carves out the live objects it discovers with [reserve_*]. *)
-let indexed_populated ~cpus (g : Layout.Geometry.t) =
-  let ix =
+(* Fully-free allocator in O(1): one inode run [2, inode_count], one
+   page run [0, page_count). Mount rebuild starts here and carves out
+   the live objects it discovers with [reserve_*]. *)
+let create ~cpus (g : Layout.Geometry.t) =
+  let t =
     {
+      cpus;
+      lock = Mutex.create ();
       ino_stack = [];
       ino_runs =
         (if g.inode_count >= 2 then Imap.singleton 2 (g.inode_count - 1)
@@ -181,165 +115,100 @@ let indexed_populated ~cpus (g : Layout.Geometry.t) =
       region = (g.page_count + cpus - 1) / cpus;
     }
   in
-  if g.page_count > 0 then run_insert ix ~start:0 ~len:g.page_count;
-  { cpus; st = Indexed ix; lock = Mutex.create () }
+  if g.page_count > 0 then run_insert t ~start:0 ~len:g.page_count;
+  t
 
 (* {1 Inodes} *)
 
 let alloc_inode t =
-  match t.st with
-  | Legacy g -> (
-      match g.free_inodes with
-      | [] -> None
-      | ino :: rest ->
-          g.free_inodes <- rest;
-          g.l_free_inode_count <- g.l_free_inode_count - 1;
-          Some ino)
-  | Indexed ix -> (
-      match ix.ino_stack with
-      | ino :: rest ->
-          ix.ino_stack <- rest;
-          ix.ino_free <- ix.ino_free - 1;
-          Some ino
-      | [] -> (
-          match Imap.min_binding_opt ix.ino_runs with
-          | None -> None
-          | Some (s, l) ->
-              ix.ino_runs <- Imap.remove s ix.ino_runs;
-              if l > 1 then ix.ino_runs <- Imap.add (s + 1) (l - 1) ix.ino_runs;
-              ix.ino_free <- ix.ino_free - 1;
-              Some s))
+  match t.ino_stack with
+  | ino :: rest ->
+      t.ino_stack <- rest;
+      t.ino_free <- t.ino_free - 1;
+      Some ino
+  | [] -> (
+      match Imap.min_binding_opt t.ino_runs with
+      | None -> None
+      | Some (s, l) ->
+          t.ino_runs <- Imap.remove s t.ino_runs;
+          if l > 1 then t.ino_runs <- Imap.add (s + 1) (l - 1) t.ino_runs;
+          t.ino_free <- t.ino_free - 1;
+          Some s)
 
 let free_inode t ino =
-  match t.st with
-  | Legacy g ->
-      g.free_inodes <- ino :: g.free_inodes;
-      g.l_free_inode_count <- g.l_free_inode_count + 1
-  | Indexed ix ->
-      ix.ino_stack <- ino :: ix.ino_stack;
-      ix.ino_free <- ix.ino_free + 1
+  t.ino_stack <- ino :: t.ino_stack;
+  t.ino_free <- t.ino_free + 1
 
 let reserve_inode t ino =
-  match t.st with
-  | Legacy g ->
-      if not (List.mem ino g.free_inodes) then
-        invalid_arg "Core.Alloc.reserve_inode: inode is not free";
-      g.free_inodes <- List.filter (fun i -> i <> ino) g.free_inodes;
-      g.l_free_inode_count <- g.l_free_inode_count - 1
-  | Indexed ix -> (
-      match Imap.find_last_opt (fun s -> s <= ino) ix.ino_runs with
-      | Some (s, l) when ino < s + l ->
-          ix.ino_runs <- Imap.remove s ix.ino_runs;
-          if ino > s then ix.ino_runs <- Imap.add s (ino - s) ix.ino_runs;
-          if s + l - (ino + 1) > 0 then
-            ix.ino_runs <- Imap.add (ino + 1) (s + l - (ino + 1)) ix.ino_runs;
-          ix.ino_free <- ix.ino_free - 1
-      | _ ->
-          if List.mem ino ix.ino_stack then begin
-            ix.ino_stack <- List.filter (fun i -> i <> ino) ix.ino_stack;
-            ix.ino_free <- ix.ino_free - 1
-          end
-          else invalid_arg "Core.Alloc.reserve_inode: inode is not free")
+  match Imap.find_last_opt (fun s -> s <= ino) t.ino_runs with
+  | Some (s, l) when ino < s + l ->
+      t.ino_runs <- Imap.remove s t.ino_runs;
+      if ino > s then t.ino_runs <- Imap.add s (ino - s) t.ino_runs;
+      if s + l - (ino + 1) > 0 then
+        t.ino_runs <- Imap.add (ino + 1) (s + l - (ino + 1)) t.ino_runs;
+      t.ino_free <- t.ino_free - 1
+  | _ ->
+      if List.mem ino t.ino_stack then begin
+        t.ino_stack <- List.filter (fun i -> i <> ino) t.ino_stack;
+        t.ino_free <- t.ino_free - 1
+      end
+      else invalid_arg "Core.Alloc.reserve_inode: inode is not free"
 
 (* {1 Pages} *)
 
-let pop_pool g cpu =
-  match g.page_pools.(cpu) with
+let pop_stack t cpu =
+  match t.stacks.(cpu) with
   | [] -> None
   | p :: rest ->
-      g.page_pools.(cpu) <- rest;
-      g.pool_sizes.(cpu) <- g.pool_sizes.(cpu) - 1;
-      Some p
-
-let pop_stack ix cpu =
-  match ix.stacks.(cpu) with
-  | [] -> None
-  | p :: rest ->
-      ix.stacks.(cpu) <- rest;
-      ix.stack_sizes.(cpu) <- ix.stack_sizes.(cpu) - 1;
+      t.stacks.(cpu) <- rest;
+      t.stack_sizes.(cpu) <- t.stack_sizes.(cpu) - 1;
       Some p
 
 (* Carve one page from the run map, preferring the requesting CPU's
    placement region so independent CPUs spread across the volume. *)
-let carve_single ix cpu =
-  if ix.run_pages = 0 then None
+let carve_single t cpu =
+  if t.run_pages = 0 then None
   else begin
     let start, len =
-      match Imap.find_first_opt (fun s -> s >= cpu * ix.region) ix.runs with
+      match Imap.find_first_opt (fun s -> s >= cpu * t.region) t.runs with
       | Some (s, l) -> (s, l)
-      | None -> Imap.min_binding ix.runs
+      | None -> Imap.min_binding t.runs
     in
-    run_carve ix ~start ~len ~want:start ~n:1;
+    run_carve t ~start ~len ~want:start ~n:1;
     Some start
   end
 
 let alloc_page ?(cpu = 0) t =
   let cpu = floor_mod cpu t.cpus in
-  match t.st with
-  | Legacy g -> (
-      match pop_pool g cpu with
+  match pop_stack t cpu with
+  | Some p -> Some p
+  | None -> (
+      match carve_single t cpu with
       | Some p -> Some p
       | None ->
-          (* Steal, scanning from the pool after the requester and
-             rotating — not always from pool 0, which drained low-index
-             pools first and skewed per-CPU locality under load. *)
+          (* Steal, scanning from the stack after the requester and
+             rotating — not always from stack 0, which would drain
+             low-index stacks first and skew per-CPU locality. *)
           let rec steal k =
             if k = t.cpus then None
             else
               let i = (cpu + 1 + k) mod t.cpus in
-              if g.pool_sizes.(i) > 0 then pop_pool g i else steal (k + 1)
+              if t.stack_sizes.(i) > 0 then pop_stack t i else steal (k + 1)
           in
           steal 0)
-  | Indexed ix -> (
-      match pop_stack ix cpu with
-      | Some p -> Some p
-      | None -> (
-          match carve_single ix cpu with
-          | Some p -> Some p
-          | None ->
-              let rec steal k =
-                if k = t.cpus then None
-                else
-                  let i = (cpu + 1 + k) mod t.cpus in
-                  if ix.stack_sizes.(i) > 0 then pop_stack ix i
-                  else steal (k + 1)
-              in
-              steal 0))
 
 let free_page ?(cpu = 0) t page =
   let cpu = floor_mod cpu t.cpus in
-  match t.st with
-  | Legacy g ->
-      g.page_pools.(cpu) <- page :: g.page_pools.(cpu);
-      g.pool_sizes.(cpu) <- g.pool_sizes.(cpu) + 1
-  | Indexed ix ->
-      ix.stacks.(cpu) <- page :: ix.stacks.(cpu);
-      ix.stack_sizes.(cpu) <- ix.stack_sizes.(cpu) + 1
+  t.stacks.(cpu) <- page :: t.stacks.(cpu);
+  t.stack_sizes.(cpu) <- t.stack_sizes.(cpu) + 1
 
 let reserve_page t page =
-  match t.st with
-  | Legacy g ->
-      (* O(pools): only the indexed rebuild path reserves in anger. *)
-      let found = ref false in
-      for c = 0 to t.cpus - 1 do
-        if (not !found) && List.mem page g.page_pools.(c) then begin
-          g.page_pools.(c) <- List.filter (fun p -> p <> page) g.page_pools.(c);
-          g.pool_sizes.(c) <- g.pool_sizes.(c) - 1;
-          found := true
-        end
-      done;
-      if not !found then invalid_arg "Core.Alloc.reserve_page: page is not free"
-  | Indexed ix -> run_reserve_page ix page
+  match Imap.find_last_opt (fun s -> s <= page) t.runs with
+  | Some (s, l) when page < s + l -> run_carve t ~start:s ~len:l ~want:page ~n:1
+  | _ -> invalid_arg "Core.Alloc.reserve_page: page is not free"
 
-let free_page_count t =
-  match t.st with
-  | Legacy g -> Array.fold_left ( + ) 0 g.pool_sizes
-  | Indexed ix -> ix.run_pages + Array.fold_left ( + ) 0 ix.stack_sizes
-
-let free_inode_count t =
-  match t.st with
-  | Legacy g -> g.l_free_inode_count
-  | Indexed ix -> ix.ino_free
+let free_page_count t = t.run_pages + Array.fold_left ( + ) 0 t.stack_sizes
+let free_inode_count t = t.ino_free
 
 (* 2 MiB of 4 KiB pages: the alignment unit for huge allocations. *)
 let hugepage_pages = 512
@@ -347,58 +216,45 @@ let hugepage_pages = 512
 (* Contiguous extent of [n] pages, optionally at an [align]-page
    boundary (WineFS-style hugepage placement). Carved from the run
    index: smallest run that fits wins, smallest start among equals.
-   [None] in legacy mode — callers fall back to page-at-a-time
-   allocation, which keeps dense volumes bit-identical — or when
-   fragmentation leaves no contiguous fit. *)
+   [None] when fragmentation leaves no contiguous fit. *)
 let alloc_extent ?(align = 1) t n =
   if n <= 0 || align <= 0 then invalid_arg "Core.Alloc.alloc_extent";
-  match t.st with
-  | Legacy _ -> None
-  | Indexed ix ->
-      let aligned_want start = (start + align - 1) / align * align in
-      let fit (start, len) =
-        let w = aligned_want start in
-        if w + n <= start + len then Some (start, len, w) else None
-      in
-      let pick need =
-        match Imap.find_first_opt (fun l -> l >= need) ix.by_len with
-        | None -> None
-        | Some (len, starts) -> fit (Iset.min_elt starts, len)
-      in
-      let choice =
-        match pick n with
-        | Some _ as c -> c
-        | None ->
-            (* alignment didn't fit the tightest run: a run of
-               n + align - 1 pages always contains an aligned window *)
-            if align > 1 then pick (n + align - 1) else None
-      in
-      (match choice with
-      | None -> None
-      | Some (start, len, want) ->
-          run_carve ix ~start ~len ~want ~n;
-          Some (want, n))
+  let aligned_want start = (start + align - 1) / align * align in
+  let fit (start, len) =
+    let w = aligned_want start in
+    if w + n <= start + len then Some (start, len, w) else None
+  in
+  let pick need =
+    match Imap.find_first_opt (fun l -> l >= need) t.by_len with
+    | None -> None
+    | Some (len, starts) -> fit (Iset.min_elt starts, len)
+  in
+  let choice =
+    match pick n with
+    | Some _ as c -> c
+    | None ->
+        (* alignment didn't fit the tightest run: a run of
+           n + align - 1 pages always contains an aligned window *)
+        if align > 1 then pick (n + align - 1) else None
+  in
+  match choice with
+  | None -> None
+  | Some (start, len, want) ->
+      run_carve t ~start ~len ~want ~n;
+      Some (want, n)
 
 let free_extent t ~start ~len =
   if len <= 0 then invalid_arg "Core.Alloc.free_extent";
-  match t.st with
-  | Legacy g ->
-      for page = start + len - 1 downto start do
-        let cpu = g.next_cpu in
-        g.next_cpu <- (g.next_cpu + 1) mod t.cpus;
-        g.page_pools.(cpu) <- page :: g.page_pools.(cpu);
-        g.pool_sizes.(cpu) <- g.pool_sizes.(cpu) + 1
-      done
-  | Indexed ix -> run_insert ix ~start ~len
+  run_insert t ~start ~len
 
 let alloc_pages ?(cpu = 0) t n =
   if free_page_count t < n then None
   else begin
-    (* Indexed mode prefers one contiguous extent — ascending physical
-       pages, so large files lay out sequentially and the split data
-       path can relink whole extents. Hugepage-sized allocations also
-       try for a hugepage-aligned start first (WineFS-style placement).
-       Fragmented (or legacy) volumes fall back to page-at-a-time. *)
+    (* Prefer one contiguous extent — ascending physical pages, so
+       large files lay out sequentially and the split data path can
+       relink whole extents. Hugepage-sized allocations also try for a
+       hugepage-aligned start first (WineFS-style placement).
+       Fragmented volumes fall back to page-at-a-time. *)
     let extent =
       if n >= 2 then
         let aligned =
@@ -428,21 +284,19 @@ let alloc_pages ?(cpu = 0) t n =
 
 (* {1 Concurrency}
 
-   The inode free structures and the page pools/runs are shared by every
-   domain executing ops under the [Serve] engine (stealing crosses the
-   pools, so per-pool locks would not be enough). Each public entry
-   point takes one short critical section on the instance's own lock;
-   the wrappers shadow the lock-free bodies above, which keep calling
-   each other directly ([alloc_pages] -> [alloc_page] stays on the
-   unlocked bodies, so a plain [Mutex] is enough), and independent
-   mounts never contend. *)
+   The inode free structures and the page stacks/runs are shared by
+   every domain executing ops under the [Serve] engine (stealing
+   crosses the stacks, so per-stack locks would not be enough). Each
+   public entry point takes one short critical section on the
+   instance's own lock; the wrappers shadow the lock-free bodies above,
+   which keep calling each other directly ([alloc_pages] ->
+   [alloc_page] stays on the unlocked bodies, so a plain [Mutex] is
+   enough), and independent mounts never contend. *)
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let add_free_inode t ino = locked t (fun () -> add_free_inode_aux t ino)
-let add_free_page t page = locked t (fun () -> add_free_page_aux t page)
 let alloc_inode t = locked t (fun () -> alloc_inode t)
 let free_inode t ino = locked t (fun () -> free_inode t ino)
 let reserve_inode t ino = locked t (fun () -> reserve_inode t ino)

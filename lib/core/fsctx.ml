@@ -51,15 +51,7 @@ let make ?(csum = false) ~dev ~geo ~cpus () =
     dev;
     geo;
     reg = Typestate.Token.create_registry ();
-    (* Large volumes get the indexed run allocator: O(1) to populate,
-       so mount cost tracks live objects instead of volume size. The
-       choice keys on volume size, not on the backing representation —
-       forcing a small device sparse must stay observably identical to
-       the dense run, placement included. *)
-    alloc =
-      (if Pmem.Device.size dev > Pmem.Device.sparse_threshold then
-         Alloc.indexed_populated ~cpus geo
-       else Alloc.create ~cpus geo);
+    alloc = Alloc.create ~cpus geo;
     index = Index.create ();
     next_range_id = Atomic.make 0;
     cpus;
@@ -73,13 +65,6 @@ let make ?(csum = false) ~dev ~geo ~cpus () =
     snaps = Hashtbl.create 4;
     on_fence = None;
   }
-
-(* Fresh allocator under the same policy [make] used: rollback rebuilds
-   the volatile state wholesale after flipping the durable image. *)
-let fresh_alloc t =
-  if Pmem.Device.size t.dev > Pmem.Device.sparse_threshold then
-    Alloc.indexed_populated ~cpus:t.cpus t.geo
-  else Alloc.create ~cpus:t.cpus t.geo
 
 let fence t =
   Pmem.Device.fence t.dev;

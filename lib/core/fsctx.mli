@@ -80,11 +80,6 @@ type t = {
 val make :
   ?csum:bool -> dev:Pmem.Device.t -> geo:Layout.Geometry.t -> cpus:int -> unit -> t
 
-val fresh_alloc : t -> Alloc.t
-(** A fresh, fully-free allocator built under the same policy {!make}
-    used for this context (indexed above the sparse threshold, legacy
-    below). Rollback swaps it in before re-running the mount rebuild. *)
-
 val fence : t -> unit
 (** Issue an [sfence] and advance the fence epoch used by shared-fence
     witnesses. Every object-level [fence]/[after_fence] transition checks

@@ -519,44 +519,26 @@ let rebuild (ctx : Fsctx.t) ~recover =
     committed;
   Device.charge dev (!inserts * index_insert_ns);
 
-  (* Allocators: anything with a fully-zero record is free. The legacy
-     allocator starts empty and collects every free object — O(volume),
-     kept verbatim so small dense volumes stay bit-identical. The
-     indexed allocator starts fully free (one run, O(1)) and instead
-     {e reserves} the live objects the scan found, so this step — like
-     the scan passes above — costs time proportional to utilization,
-     not volume size (the paper's §5 near-constant mount). *)
-  if Alloc.is_indexed ctx.alloc then begin
-    let reserved = ref 0 in
-    (Scan.inodes dev geo @@ fun ino ->
-     if
-       ino <> Geometry.root_ino
-       && R.Inode.is_allocated dev ~base:(Geometry.inode_off geo ~ino)
-     then begin
-       Alloc.reserve_inode ctx.alloc ino;
-       incr reserved
-     end);
-    (Scan.pages dev geo @@ fun page ->
-     if R.Desc.is_allocated dev ~base:(Geometry.desc_off geo ~page) then begin
-       Alloc.reserve_page ctx.alloc page;
-       incr reserved
-     end);
-    Device.charge dev (!reserved * 40)
-  end
-  else begin
-    for ino = geo.inode_count downto 1 do
-      if
-        not (R.Inode.is_allocated dev ~base:(Geometry.inode_off geo ~ino))
-      then Alloc.add_free_inode ctx.alloc ino
-    done;
-    for page = geo.page_count - 1 downto 0 do
-      if not (R.Desc.is_allocated dev ~base:(Geometry.desc_off geo ~page))
-      then Alloc.add_free_page ctx.alloc page
-    done;
-    Device.charge dev
-      ((Alloc.free_inode_count ctx.alloc + Alloc.free_page_count ctx.alloc)
-      * 40)
-  end;
+  (* Allocator: anything with a fully-zero record is free. It starts
+     fully free (one run, O(1)) and {e reserves} the live objects the
+     scan found, so this step — like the scan passes above — costs
+     time proportional to utilization, not volume size (the paper's
+     §5 near-constant mount). *)
+  let reserved = ref 0 in
+  (Scan.inodes dev geo @@ fun ino ->
+   if
+     ino <> Geometry.root_ino
+     && R.Inode.is_allocated dev ~base:(Geometry.inode_off geo ~ino)
+   then begin
+     Alloc.reserve_inode ctx.alloc ino;
+     incr reserved
+   end);
+  (Scan.pages dev geo @@ fun page ->
+   if R.Desc.is_allocated dev ~base:(Geometry.desc_off geo ~page) then begin
+     Alloc.reserve_page ctx.alloc page;
+     incr reserved
+   end);
+  Device.charge dev (!reserved * 40);
   set_stats !st
 
 (* {1 Snapshot recovery}

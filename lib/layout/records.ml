@@ -230,24 +230,34 @@ module Superblock = struct
     | exception Device.Media_error _ -> false
 
   let read dev =
-    if Device.read_u64 dev f_magic <> magic then None
-    else
-      let geometry =
-        {
-          Geometry.device_size = Device.read_u64 dev f_device_size;
-          inode_count = Device.read_u64 dev f_inode_count;
-          page_count = Device.read_u64 dev f_page_count;
-          inode_table_off = Device.read_u64 dev f_inode_table_off;
-          page_desc_off = Device.read_u64 dev f_page_desc_off;
-          data_off = Device.read_u64 dev f_data_off;
-        }
-      in
-      Some
-        {
-          geometry;
-          clean = Device.read_u64 dev f_clean = 1;
-          csum = Device.read_u64 dev f_flags land 1 = 1;
-        }
+    (* the layout mkfs would give a device of this size *)
+    match Geometry.compute ~device_size:(Device.size dev) with
+    | exception Invalid_argument _ ->
+        (* too small for any volume, the superblock itself included *)
+        None
+    | expected ->
+        if Device.read_u64 dev f_magic <> magic then None
+        else
+          let geometry =
+            {
+              Geometry.device_size = Device.read_u64 dev f_device_size;
+              inode_count = Device.read_u64 dev f_inode_count;
+              page_count = Device.read_u64 dev f_page_count;
+              inode_table_off = Device.read_u64 dev f_inode_table_off;
+              page_desc_off = Device.read_u64 dev f_page_desc_off;
+              data_off = Device.read_u64 dev f_data_off;
+            }
+          in
+          (* a truncated or extended image: the stored layout no longer
+             matches the device, so its tables may run past the end *)
+          if geometry <> expected then None
+          else
+            Some
+              {
+                geometry;
+                clean = Device.read_u64 dev f_clean = 1;
+                csum = Device.read_u64 dev f_flags land 1 = 1;
+              }
 
   let set_clean dev clean =
     Device.store_u64 dev f_clean (if clean then 1 else 0);

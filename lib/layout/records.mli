@@ -149,7 +149,11 @@ module Superblock : sig
       image and store sequence are identical to pre-checksum builds. *)
 
   val read : Pmem.Device.t -> t option
-  (** [None] if the magic does not match. *)
+  (** [None] if the device is shorter than {!Geometry.sb_size}, if the
+      magic does not match, or if the stored geometry differs from
+      [Geometry.compute ~device_size:(Device.size dev)] (a truncated or
+      extended image). Never raises and reads nothing beyond the
+      superblock. *)
 
   val verify : Pmem.Device.t -> bool
   (** Check the superblock CRC (meaningful only when [csum] is set). *)

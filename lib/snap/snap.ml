@@ -418,7 +418,7 @@ let rollback ?locks (ctx : Fsctx.t) name =
         Hashtbl.reset ctx.oft;
         Hashtbl.reset ctx.anon;
         ctx.index <- Squirrelfs.Index.create ();
-        ctx.alloc <- Fsctx.fresh_alloc ctx;
+        ctx.alloc <- Squirrelfs.Alloc.create ~cpus:ctx.cpus ctx.geo;
         Squirrelfs.Mount.rebuild ctx ~recover:true;
         let table = S.list dev in
         let stale =

@@ -131,6 +131,73 @@ let test_of_image_stats_fresh () =
   Alcotest.(check int) "source unchanged by the probe" src_stores
     (Device.stats dev).Pmem.Stats.stores
 
+(* {1 Short and truncated images}
+
+   Regression: a 0-byte image raised [Invalid_argument] out of mount
+   (the superblock read ran off the device), and an image truncated to
+   half its length mounted and fsck'd "consistent" although its stored
+   geometry covered twice the device. *)
+
+(* A 16 MiB volume holding one file, cut to [len] bytes. *)
+let short_images =
+  lazy
+    (let dev = Device.create ~size:(16 * 1024 * 1024) () in
+     Sq.mkfs dev;
+     let fs = ok (Sq.mount dev) in
+     ok (Sq.create fs "/a");
+     ignore (ok (Sq.write fs "/a" ~off:0 "hello") : int);
+     Sq.unmount fs;
+     let img = Device.image_durable dev in
+     List.map
+       (fun (name, len) -> (name, Bytes.sub img 0 len))
+       [ ("empty", 0); ("100 bytes", 100); ("half", 8 * 1024 * 1024) ])
+
+let test_short_images_refused () =
+  List.iter
+    (fun (name, img) ->
+      let dev = Device.of_image img in
+      Alcotest.(check bool)
+        (name ^ ": no superblock")
+        true
+        (Layout.Records.Superblock.read dev = None);
+      (match Sq.Mount.mount dev with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: mount accepted a short image" name);
+      match Sq.Mount.mount_recover dev with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: recovery mount accepted a short image" name)
+    (Lazy.force short_images)
+
+(* The same images through the [sqfs] command line: [fsck] and [tree]
+   must exit 1 with a mount error, never 125 (uncaught exception) and
+   never 0 ("consistent"). *)
+let test_short_images_cli () =
+  let sqfs =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/sqfs.exe"
+  in
+  List.iter
+    (fun (name, img) ->
+      let file = Filename.temp_file "short" ".img" in
+      let out = Filename.temp_file "short" ".out" in
+      Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc img);
+      List.iter
+        (fun cmd ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s %s > %s 2>&1" (Filename.quote sqfs) cmd
+                 (Filename.quote file) (Filename.quote out))
+          in
+          let text = In_channel.with_open_bin out In_channel.input_all in
+          Alcotest.(check int) (Printf.sprintf "%s: %s exit code" name cmd) 1 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s names the mount error" name cmd)
+            true
+            (String.starts_with ~prefix:"mount " text))
+        [ "fsck"; "tree" ];
+      Sys.remove file;
+      Sys.remove out)
+    (Lazy.force short_images)
+
 let () =
   Alcotest.run "remount"
     [
@@ -144,5 +211,12 @@ let () =
           Alcotest.test_case "counters accumulate (no reset on remount)" `Quick
             test_stats_accumulate_across_mounts;
           Alcotest.test_case "of_image starts fresh" `Quick test_of_image_stats_fresh;
+        ] );
+      ( "short images",
+        [
+          Alcotest.test_case "mount refuses short and truncated images" `Quick
+            test_short_images_refused;
+          Alcotest.test_case "sqfs fsck and tree report the error" `Quick
+            test_short_images_cli;
         ] );
     ]
