@@ -212,11 +212,11 @@ let () =
             test_stats_accumulate_across_mounts;
           Alcotest.test_case "of_image starts fresh" `Quick test_of_image_stats_fresh;
         ] );
-      ( "short images",
+      ( "short",
         [
-          Alcotest.test_case "mount refuses short and truncated images" `Quick
+          Alcotest.test_case "mount refuses short images" `Quick
             test_short_images_refused;
-          Alcotest.test_case "sqfs fsck and tree report the error" `Quick
+          Alcotest.test_case "sqfs fsck and tree fail" `Quick
             test_short_images_cli;
         ] );
     ]
