@@ -1,4 +1,4 @@
-.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke largevol-smoke snap-smoke tab2-smoke crashcheck bench bench-json bench-json-quick serve-json serve-json-quick clean
+.PHONY: all build check test faultcheck-smoke fuzz-smoke serve-smoke enum-smoke datapath-smoke fence-smoke largevol-smoke snap-smoke tab2-smoke crashcheck bench bench-json bench-json-quick serve-json serve-json-quick clean
 
 all: build
 
@@ -11,6 +11,7 @@ check:
 	$(MAKE) enum-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) datapath-smoke
+	$(MAKE) fence-smoke
 	$(MAKE) largevol-smoke
 	$(MAKE) tab2-smoke
 	$(MAKE) bench-json-quick
@@ -69,6 +70,15 @@ serve-smoke: build
 datapath-smoke: build
 	@echo "== bench datapath (fence schedule + handle throughput) =="
 	dune exec bench/main.exe -- datapath
+
+# Fence cost gate (under a second): wall time of store_u64 + flush +
+# fence on a 32 MiB dense device with 0, 1k and 10k unflushed lines
+# pending and after a 16 MiB zero + fence; exit 2 if any case costs
+# more than 4x the 0-pending case (a fence must visit only the lines
+# flushed since the last one).
+fence-smoke: build
+	@echo "== bench fence (fence cost independent of history) =="
+	dune exec bench/main.exe -- fence
 
 # Table 2 shape gate (about 1.3 s): the mount-time table on a 64 MiB
 # volume, exit 2 unless a full normal mount takes longer than an empty

@@ -587,6 +587,71 @@ let datapath () =
     exit 2
   end
 
+(* {1 Fence cost: O(lines in flight)}
+
+   Wall time of one store_u64 + flush + fence on a 32 MiB dense device
+   (median of several passes) with 0, 1k and 10k unflushed lines left
+   pending elsewhere, and after a 16 MiB zero + fence has grown the line
+   table. A fence drains only the lines flushed since the last one, so
+   none of these histories should change its cost: exit 2 if any case
+   costs more than 4x the 0-pending case. *)
+
+let mib = 1024 * 1024
+
+let fence_cost ~prep =
+  let dev =
+    Device.create ~latency:Latency.optane ~sparse:false ~size:(32 * mib) ()
+  in
+  prep dev;
+  let iters = 2000 in
+  let pass () =
+    let t0 = Unix.gettimeofday () in
+    for i = 0 to iters - 1 do
+      (* the timed lines sit below the 16 MiB mark, clear of the pending
+         lines [prep] leaves above it *)
+      let off = i mod 256 * Device.line_size in
+      Device.store_u64 dev off i;
+      Device.flush dev ~off ~len:8;
+      Device.fence dev
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int iters
+  in
+  let passes = List.init 5 (fun _ -> pass ()) in
+  List.nth (List.sort compare passes) 2
+
+let fence () =
+  section "Fence cost against unflushed and drained history";
+  let pending n dev =
+    for i = 0 to n - 1 do
+      Device.store_u64 dev ((16 * mib) + (i * Device.line_size)) 1
+    done
+  in
+  let cases =
+    [
+      ("pending_0", fun _ -> ());
+      ("pending_1k", pending 1_000);
+      ("pending_10k", pending 10_000);
+      ( "after_16mib_zero",
+        fun dev ->
+          Device.zero dev ~off:0 ~len:(16 * mib);
+          Device.fence dev );
+    ]
+  in
+  let us = List.map (fun (name, prep) -> (name, fence_cost ~prep)) cases in
+  let base = List.assoc "pending_0" us in
+  let worst = List.fold_left (fun m (_, u) -> max m (u /. base)) 0. us in
+  let ok = worst <= 4.0 in
+  Printf.printf
+    "{ \"us_per_store_flush_fence\": { %s }, \"max_ratio_to_pending_0\": \
+     %.2f, \"gate_ratio\": 4.0, \"ok\": %b }\n"
+    (String.concat ", "
+       (List.map (fun (name, u) -> Printf.sprintf "\"%s\": %.3f" name u) us))
+    worst ok;
+  if not ok then begin
+    Printf.printf "FENCE COST DEPENDS ON HISTORY\n";
+    exit 2
+  end
+
 (* {1 Fault subsystem: checksum overhead, scrub throughput, detection} *)
 
 let faults () =
@@ -1413,6 +1478,7 @@ let sections =
     ("mem", mem);
     ("ablate", ablate);
     ("datapath", datapath);
+    ("fence", fence);
     ("faults", faults);
     ("fuzz", fuzz);
     ("largevol", largevol);

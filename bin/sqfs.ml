@@ -211,7 +211,13 @@ let with_fs ?trace img f =
   let dev = load_image img in
   match Squirrelfs.mount dev with
   | Error e ->
-      Printf.eprintf "mount %s: %s\n" img (Vfs.Errno.to_string e);
+      (* name why the image was refused when the superblock says so *)
+      let why =
+        match Layout.Records.Superblock.check dev with
+        | Error reason -> reason
+        | Ok _ -> Vfs.Errno.to_string e
+      in
+      Printf.eprintf "mount %s: %s\n" img why;
       exit 1
   | Ok fs ->
       let rec_ = Option.map (fun _ -> Obs.Recorder.create ()) trace in

@@ -229,14 +229,16 @@ module Superblock = struct
     | crc -> crc = Device.read_u32 dev f_crc
     | exception Device.Media_error _ -> false
 
-  let read dev =
+  let check dev =
+    let size = Device.size dev in
     (* the layout mkfs would give a device of this size *)
-    match Geometry.compute ~device_size:(Device.size dev) with
+    match Geometry.compute ~device_size:size with
     | exception Invalid_argument _ ->
         (* too small for any volume, the superblock itself included *)
-        None
+        Error (Printf.sprintf "too small for a volume (%d bytes)" size)
     | expected ->
-        if Device.read_u64 dev f_magic <> magic then None
+        if Device.read_u64 dev f_magic <> magic then
+          Error "no SquirrelFS superblock"
         else
           let geometry =
             {
@@ -250,14 +252,25 @@ module Superblock = struct
           in
           (* a truncated or extended image: the stored layout no longer
              matches the device, so its tables may run past the end *)
-          if geometry <> expected then None
+          if geometry.device_size <> size then
+            Error
+              (Printf.sprintf
+                 "superblock geometry is for a %d-byte device, image is %d \
+                  bytes (truncated?)"
+                 geometry.device_size size)
+          else if geometry <> expected then
+            Error
+              (Printf.sprintf
+                 "superblock geometry does not match a %d-byte device" size)
           else
-            Some
+            Ok
               {
                 geometry;
                 clean = Device.read_u64 dev f_clean = 1;
                 csum = Device.read_u64 dev f_flags land 1 = 1;
               }
+
+  let read dev = Result.to_option (check dev)
 
   let set_clean dev clean =
     Device.store_u64 dev f_clean (if clean then 1 else 0);

@@ -148,12 +148,16 @@ module Superblock : sig
       superblock's own CRC are also written; with the default the byte
       image and store sequence are identical to pre-checksum builds. *)
 
-  val read : Pmem.Device.t -> t option
-  (** [None] if the device is shorter than {!Geometry.sb_size}, if the
-      magic does not match, or if the stored geometry differs from
+  val check : Pmem.Device.t -> (t, string) result
+  (** The superblock, or why the device holds no mountable volume: it is
+      shorter than {!Geometry.sb_size}, the magic does not match, or the
+      stored geometry differs from
       [Geometry.compute ~device_size:(Device.size dev)] (a truncated or
       extended image). Never raises and reads nothing beyond the
       superblock. *)
+
+  val read : Pmem.Device.t -> t option
+  (** [Result.to_option (check dev)]. *)
 
   val verify : Pmem.Device.t -> bool
   (** Check the superblock CRC (meaningful only when [csum] is set). *)

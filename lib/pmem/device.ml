@@ -56,6 +56,10 @@ type t = {
   latest : Sbuf.t;
   durable : Sbuf.t;
   lines : (int, line) Hashtbl.t; (* dirty lines only *)
+  mutable inflight : int list;
+      (* indexes of the lines whose [flushed] went from 0 to above 0 since
+         the last fence, each once: exactly the lines the next fence
+         drains, so a fence never walks [lines] *)
   latency : Latency.t;
   stats : Stats.t;
   mutable now_ns : int;
@@ -104,6 +108,7 @@ let create ?(latency = Latency.zero) ?sparse ~size () =
     latest = Sbuf.create ~sparse ~size;
     durable = Sbuf.create ~sparse ~size;
     lines = Hashtbl.create 256;
+    inflight = [];
     latency;
     stats = Stats.create ();
     now_ns = 0;
@@ -140,6 +145,7 @@ let of_image ?(latency = Latency.zero) image =
     latest = load ();
     durable = load ();
     lines = Hashtbl.create 256;
+    inflight = [];
     latency;
     stats = Stats.create ();
     now_ns = 0;
@@ -176,6 +182,7 @@ let of_spans ?(latency = Latency.zero) ~size spans =
     latest = load ();
     durable = load ();
     lines = Hashtbl.create 256;
+    inflight = [];
     latency;
     stats = Stats.create ();
     now_ns = 0;
@@ -598,7 +605,8 @@ let store_aux t ~cost_ns ~off data =
     let abs = off + !pos in
     let room_in_word = word_size - (abs mod word_size) in
     let chunk = min room_in_word (len - !pos) in
-    add_record t ~cost_ns abs (String.sub data !pos chunk);
+    add_record t ~cost_ns abs
+      (if chunk = len then data else String.sub data !pos chunk);
     pos := !pos + chunk
   done
 
@@ -613,7 +621,8 @@ let flush t ~off ~len =
     emit t (Obs.Event.Flush { off; len });
     count t "pm.flushes";
     let first = off / line_size and last = (off + len - 1) / line_size in
-    let mark l =
+    let mark idx l =
+      if l.flushed = 0 then t.inflight <- idx :: t.inflight;
       l.flushed <- List.length l.pending;
       t.stats.flushes <- t.stats.flushes + 1;
       charge t t.latency.flush_ns
@@ -624,13 +633,13 @@ let flush t ~off ~len =
        two walks are observably identical. *)
     if last - first + 1 > 4 * (Hashtbl.length t.lines + 1) then
       Hashtbl.iter
-        (fun idx l -> if idx >= first && idx <= last then mark l)
+        (fun idx l -> if idx >= first && idx <= last then mark idx l)
         t.lines
     else
       for idx = first to last do
         match Hashtbl.find_opt t.lines idx with
         | None -> ()
-        | Some l -> mark l
+        | Some l -> mark idx l
       done
   end
 
@@ -662,13 +671,14 @@ let store_u64 t off v =
   if off mod 8 <> 0 then invalid_arg "Pmem.Device.store_u64: unaligned";
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 (Int64.of_int v);
-  store t ~off (Bytes.to_string b)
+  (* [b] is never touched again, so it can become the record unshared *)
+  store t ~off (Bytes.unsafe_to_string b)
 
 let store_u32 t off v =
   if off mod 4 <> 0 then invalid_arg "Pmem.Device.store_u32: unaligned";
   let b = Bytes.create 4 in
   Bytes.set_int32_le b 0 (Int32.of_int v);
-  store t ~off (Bytes.to_string b)
+  store t ~off (Bytes.unsafe_to_string b)
 
 let store_byte t off v = store t ~off (String.make 1 (Char.chr (v land 0xFF)))
 
@@ -769,34 +779,34 @@ let fence t =
       t.in_fence <- true;
       Fun.protect ~finally:(fun () -> t.in_fence <- false) (fun () -> hook t)
   | Some _ | None -> ());
-  let drained = ref 0 in
-  let drained_idxs = ref [] in
-  let finished = ref [] in
-  Hashtbl.iter
-    (fun idx l ->
-      if l.flushed > 0 then begin
-        (* Apply the oldest [l.flushed] records to the durable image; the
-           rest stay pending ([l.pending] is newest-first). *)
-        retained_save t idx;
-        let oldest_first = List.rev l.pending in
-        let rec take n = function
-          | r :: rest when n > 0 ->
-              apply_record t.durable r;
-              take (n - 1) rest
-          | rest -> rest
-        in
-        let remaining_oldest_first = take l.flushed oldest_first in
-        l.pending <- List.rev remaining_oldest_first;
-        l.flushed <- 0;
-        incr drained;
-        drained_idxs := idx :: !drained_idxs;
-        if Array.length t.ecc > 0 then t.ecc.(idx) <- ecc_of_line t idx;
-        refresh_line_hash t idx;
-        if l.pending = [] then finished := idx :: !finished
-      end)
-    t.lines;
-  List.iter (Hashtbl.remove t.lines) !finished;
-  if !drained > 0 then begin
+  (* Only lines flushed since the last fence can drain. Every per-line
+     effect below (record application, [retained_save], ECC, the line
+     hash xor, the scratch restore) touches that line alone, so the
+     order the in-flight list is visited in is unobservable. *)
+  let drained_idxs = t.inflight in
+  t.inflight <- [];
+  let drained = List.length drained_idxs in
+  List.iter
+    (fun idx ->
+      let l = Hashtbl.find t.lines idx in
+      (* Apply the oldest [l.flushed] records to the durable image; the
+         rest stay pending ([l.pending] is newest-first). *)
+      retained_save t idx;
+      let oldest_first = List.rev l.pending in
+      let rec take n = function
+        | r :: rest when n > 0 ->
+            apply_record t.durable r;
+            take (n - 1) rest
+        | rest -> rest
+      in
+      let remaining_oldest_first = take l.flushed oldest_first in
+      l.pending <- List.rev remaining_oldest_first;
+      l.flushed <- 0;
+      if Array.length t.ecc > 0 then t.ecc.(idx) <- ecc_of_line t idx;
+      refresh_line_hash t idx;
+      if l.pending = [] then Hashtbl.remove t.lines idx)
+    drained_idxs;
+  if drained > 0 then begin
     let old_gen = t.gen in
     t.gen <- old_gen + 1;
     (* Keep the attached scratch mirroring the new durable image: restore
@@ -804,14 +814,14 @@ let fence t =
        touched — all from the just-updated durable base. *)
     match t.attached with
     | Some s when s.s_gen = old_gen ->
-        scratch_restore_lines s !drained_idxs;
+        scratch_restore_lines s drained_idxs;
         scratch_release s;
         s.s_gen <- t.gen
     | Some _ | None -> ()
   end;
   t.stats.fences <- t.stats.fences + 1;
-  t.stats.lines_drained <- t.stats.lines_drained + !drained;
-  charge t (t.latency.fence_base_ns + (!drained * t.latency.fence_line_ns))
+  t.stats.lines_drained <- t.stats.lines_drained + drained;
+  charge t (t.latency.fence_base_ns + (drained * t.latency.fence_line_ns))
 
 let persist t ~off ~len =
   flush t ~off ~len;
@@ -1205,6 +1215,7 @@ let reset ?hash t ~image =
   Sbuf.load_bytes t.durable image;
   Sbuf.load_bytes t.latest image;
   Hashtbl.reset t.lines;
+  t.inflight <- [];
   Stats.reset t.stats;
   t.now_ns <- 0;
   t.fence_hook <- None;
@@ -1265,6 +1276,7 @@ let of_view ?(latency = Latency.zero) s =
       latest = s.s_buf;
       durable = s.s_buf;
       lines = Hashtbl.create 64;
+      inflight = [];
       latency;
       stats = Stats.create ();
       now_ns = 0;

@@ -161,7 +161,8 @@ val fence : t -> unit
     any) first, so the hook observes the maximal pending state. After the
     drain, any scratch created by {!scratch} is re-synchronized to the
     new durable base (O(drained + patched lines)), and any view applied
-    to it is implicitly reverted. *)
+    to it is implicitly reverted. Costs O(lines flushed since the last
+    fence): lines that are pending but unflushed are never visited. *)
 
 val persist : t -> off:int -> len:int -> unit
 (** [flush] then [fence]. *)

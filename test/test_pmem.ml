@@ -48,18 +48,53 @@ let test_persist_durable () =
     (Bytes.sub_string img 0 3);
   Alcotest.(check bool) "quiescent" true (Device.is_quiescent dev)
 
+(* Inputs: a line never stored before, and a line that a fence already
+   drained completely (so it left the in-flight set) before the
+   unflushed store hit it again. Either way the fence must leave it
+   pending. *)
 let test_store_after_flush_stays_pending () =
+  List.iter
+    (fun predrained ->
+      let dev = mk () in
+      if predrained then begin
+        Device.store dev ~off:64 "zzzz";
+        Device.persist dev ~off:64 ~len:4
+      end;
+      Device.store dev ~off:0 "aaaa";
+      Device.flush dev ~off:0 ~len:4;
+      Device.store dev ~off:64 "bbbb";
+      (* second store is in a different line and was never flushed *)
+      let drained0 = (Device.stats dev).lines_drained in
+      Device.fence dev;
+      let img = Device.image_durable dev in
+      Alcotest.(check string) "flushed store durable" "aaaa"
+        (Bytes.sub_string img 0 4);
+      Alcotest.(check string) "unflushed store not durable"
+        (if predrained then "zzzz" else "\000\000\000\000")
+        (Bytes.sub_string img 64 4);
+      Alcotest.(check int) "only the flushed line drained" 1
+        ((Device.stats dev).lines_drained - drained0);
+      Alcotest.(check int) "unflushed line still pending" 1
+        (Device.pending_line_count dev);
+      Device.fence dev;
+      Alcotest.(check int) "a second fence drains nothing" (drained0 + 1)
+        (Device.stats dev).lines_drained)
+    [ false; true ]
+
+(* A line flushed twice before one fence is in flight once: it drains
+   once, and every record either flush covered becomes durable. *)
+let test_double_flush_drains_once () =
   let dev = mk () in
   Device.store dev ~off:0 "aaaa";
   Device.flush dev ~off:0 ~len:4;
-  Device.store dev ~off:64 "bbbb";
-  (* second store is in a different line and was never flushed *)
+  Device.store dev ~off:8 "bbbb";
+  Device.flush dev ~off:0 ~len:64;
   Device.fence dev;
+  Alcotest.(check int) "one line drained" 1 (Device.stats dev).lines_drained;
   let img = Device.image_durable dev in
-  Alcotest.(check string) "flushed store durable" "aaaa"
-    (Bytes.sub_string img 0 4);
-  Alcotest.(check string) "unflushed store not durable" "\000\000\000\000"
-    (Bytes.sub_string img 64 4)
+  Alcotest.(check string) "both records durable" "aaaa\000\000\000\000bbbb"
+    (Bytes.sub_string img 0 12);
+  Alcotest.(check bool) "quiescent" true (Device.is_quiescent dev)
 
 let test_same_line_partial_flush () =
   let dev = mk () in
@@ -506,6 +541,20 @@ let test_sparse_reset_indistinguishable_from_fresh () =
   Alcotest.(check (list string)) "same crash-state enumeration" (imgs fresh)
     (imgs pooled)
 
+(* [reset] must forget lines flushed before it: the next fence finds
+   nothing in flight and the durable image stays the template. *)
+let test_reset_clears_inflight () =
+  let template = Bytes.make 4096 't' in
+  let dev = Device.of_image template in
+  Device.store dev ~off:0 "garbage";
+  Device.store dev ~off:640 "more";
+  Device.flush dev ~off:0 ~len:4096;
+  Device.reset dev ~image:template;
+  Device.fence dev;
+  Alcotest.(check int) "nothing drained" 0 (Device.stats dev).lines_drained;
+  Alcotest.(check bytes_eq) "durable = template" template
+    (Device.image_durable dev)
+
 (* Property tests *)
 
 let prop_persist_all_makes_durable =
@@ -573,6 +622,78 @@ let prop_store_read_roundtrip =
       Device.store dev ~off data;
       Bytes.to_string (Device.read dev ~off ~len:(String.length data)) = data)
 
+(* A fence must cost, and do, the same whatever the line table's
+   history: a device whose table was grown by a 16 MiB zero + fence
+   agrees with a fresh one on every observable of a random op
+   sequence. *)
+type dev_op =
+  | Op_store of int * string
+  | Op_u64 of int * int
+  | Op_nt of int * string
+  | Op_zero of int * int
+  | Op_flush of int * int
+  | Op_fence
+
+let gen_dev_op =
+  let open QCheck.Gen in
+  let off = int_bound 4000 and data = string_size (1 -- 24) in
+  frequency
+    [
+      (4, map2 (fun o d -> Op_store (o, d)) off data);
+      (3, map2 (fun w v -> Op_u64 (w, v)) (int_bound 500) nat);
+      (1, map2 (fun o d -> Op_nt (o, d)) off data);
+      (1, map2 (fun o l -> Op_zero (o, l)) off (int_bound 200));
+      (3, map2 (fun o l -> Op_flush (o, l)) off (int_bound 300));
+      (2, return Op_fence);
+    ]
+
+let pp_dev_op = function
+  | Op_store (o, d) -> Printf.sprintf "store %d %S" o d
+  | Op_u64 (w, v) -> Printf.sprintf "u64 %d %d" (w * 8) v
+  | Op_nt (o, d) -> Printf.sprintf "nt %d %S" o d
+  | Op_zero (o, l) -> Printf.sprintf "zero %d %d" o l
+  | Op_flush (o, l) -> Printf.sprintf "flush %d %d" o l
+  | Op_fence -> "fence"
+
+let stats_fields (s : Pmem.Stats.t) =
+  [
+    s.stores; s.bytes_stored; s.reads; s.bytes_read; s.flushes; s.fences;
+    s.lines_drained; s.bitflips; s.read_faults; s.torn_lines; s.stuck_lines;
+    s.scrubbed_lines; s.scrub_errors;
+  ]
+
+let prop_fence_history_independent =
+  let size = 16 * 1024 * 1024 in
+  QCheck.Test.make ~count:10
+    ~name:"fence outcome independent of line-table history"
+    QCheck.(
+      make ~print:(Print.list pp_dev_op) Gen.(list_size (1 -- 60) gen_dev_op))
+    (fun ops ->
+      let run grown =
+        let dev =
+          Device.create ~latency:Latency.optane ~sparse:false ~size ()
+        in
+        if grown then begin
+          Device.zero dev ~off:0 ~len:size;
+          Device.fence dev
+        end;
+        let s0 = stats_fields (Device.stats dev) and t0 = Device.now_ns dev in
+        List.iter
+          (function
+            | Op_store (off, d) -> Device.store dev ~off d
+            | Op_u64 (w, v) -> Device.store_u64 dev (w * 8) v
+            | Op_nt (off, d) -> Device.store_nt dev ~off d
+            | Op_zero (off, len) -> Device.zero dev ~off ~len
+            | Op_flush (off, len) -> Device.flush dev ~off ~len
+            | Op_fence -> Device.fence dev)
+          ops;
+        ( Device.image_durable dev,
+          Device.pending_line_count dev,
+          List.map2 ( - ) (stats_fields (Device.stats dev)) s0,
+          Device.now_ns dev - t0 )
+      in
+      run false = run true)
+
 let unit_tests =
   [
     ("store visible", `Quick, test_store_visible);
@@ -582,6 +703,7 @@ let unit_tests =
     ("persist durable", `Quick, test_persist_durable);
     ("unflushed line survives fence", `Quick, test_store_after_flush_stays_pending);
     ("same line partial flush", `Quick, test_same_line_partial_flush);
+    ("double flush drains once", `Quick, test_double_flush_drains_once);
     ("u64 roundtrip", `Quick, test_u64_roundtrip);
     ("u64 atomic in crash", `Quick, test_u64_atomic_in_crash);
     ("unaligned u64 rejected", `Quick, test_unaligned_u64_rejected);
@@ -607,6 +729,7 @@ let unit_tests =
     ( "reset stats pinned, observers dropped",
       `Quick,
       test_reset_stats_pinned_and_observers_dropped );
+    ("reset clears in-flight lines", `Quick, test_reset_clears_inflight);
     ("sparse matches dense", `Quick, test_sparse_matches_dense);
     ("of_spans matches of_image", `Quick, test_of_spans_matches_of_image);
     ("sparse default by size", `Quick, test_sparse_default_by_size);
@@ -629,6 +752,7 @@ let prop_tests =
       prop_crash_images_bounded_by_latest_and_durable;
       prop_sparse_dense_equivalent;
       prop_store_read_roundtrip;
+      prop_fence_history_independent;
     ]
 
 let () =
