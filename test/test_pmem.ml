@@ -655,13 +655,6 @@ let pp_dev_op = function
   | Op_flush (o, l) -> Printf.sprintf "flush %d %d" o l
   | Op_fence -> "fence"
 
-let stats_fields (s : Pmem.Stats.t) =
-  [
-    s.stores; s.bytes_stored; s.reads; s.bytes_read; s.flushes; s.fences;
-    s.lines_drained; s.bitflips; s.read_faults; s.torn_lines; s.stuck_lines;
-    s.scrubbed_lines; s.scrub_errors;
-  ]
-
 let prop_fence_history_independent =
   let size = 16 * 1024 * 1024 in
   QCheck.Test.make ~count:10
@@ -675,9 +668,10 @@ let prop_fence_history_independent =
         in
         if grown then begin
           Device.zero dev ~off:0 ~len:size;
-          Device.fence dev
+          Device.fence dev;
+          Pmem.Stats.reset (Device.stats dev)
         end;
-        let s0 = stats_fields (Device.stats dev) and t0 = Device.now_ns dev in
+        let t0 = Device.now_ns dev in
         List.iter
           (function
             | Op_store (off, d) -> Device.store dev ~off d
@@ -689,7 +683,7 @@ let prop_fence_history_independent =
           ops;
         ( Device.image_durable dev,
           Device.pending_line_count dev,
-          List.map2 ( - ) (stats_fields (Device.stats dev)) s0,
+          Pmem.Stats.copy (Device.stats dev),
           Device.now_ns dev - t0 )
       in
       run false = run true)
